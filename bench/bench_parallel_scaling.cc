@@ -3,7 +3,7 @@
 // Two sections:
 //
 //   1. Thread ladder: one fleet study at a fixed shard count across a ladder of thread
-//      counts, reporting wall-clock speedup over (a) the legacy serial engine (shards=1) and
+//      counts, reporting wall-clock speedup over (a) the one-shard partition (shards=1) and
 //      (b) the sharded engine at threads=1. The engine is bit-deterministic in the shard
 //      count and independent of the thread count, so every ladder row computes the *same*
 //      StudyReport — the work-unit total is printed per row so a scheduling bug that drops
@@ -226,7 +226,7 @@ int main(int argc, char** argv) {
       machines, days, shards, hw, repeats);
 
   std::vector<LadderRow> rows;
-  rows.push_back(RunRow("serial (legacy engine)", base, /*shards=*/1, /*threads=*/1,
+  rows.push_back(RunRow("one shard", base, /*shards=*/1, /*threads=*/1,
                         /*sparse=*/true, repeats, hw));
   for (const int threads : {1, 2, 4}) {
     rows.push_back(RunRow("sharded t=" + std::to_string(threads), base, shards, threads,
@@ -252,7 +252,7 @@ int main(int argc, char** argv) {
   }
 
   // Determinism cross-check: all sharded rows must agree with each other (thread-count
-  // invariance); the serial row is a different stream layout and may legitimately differ.
+  // invariance); the one-shard row is a different partition and may legitimately differ.
   bool deterministic = true;
   for (size_t i = 2; i < rows.size(); ++i) {
     if (!RowsBitConsistent(rows[i], rows[1])) {

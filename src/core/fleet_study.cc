@@ -84,7 +84,6 @@ FleetStudy::FleetStudy(StudyOptions options)
       // bit-identical across the refactor; the control stream is new and untouched at defaults.
       control_plane_(options.control_plane, options.quarantine, rng_.Split(0x9a44),
                      rng_.Split(0xc0a1)),
-      corpus_(BuildStandardCorpus(options.workload)),
       // The repair stream is a fresh Split label: Split is a pure function of (parent
       // identity, label) and never advances the parent, so adding it leaves every existing
       // stream untouched — a disabled audit is bit-invisible.
@@ -123,7 +122,7 @@ FleetStudy::FleetStudy(StudyOptions options)
     // their weak confession named. The profile table is index-aligned with the corpus (one
     // profile per WorkloadKind, in enum order).
     placement_profiles_ = PlacementPlanner::StandardProfiles();
-    MERCURIAL_CHECK_EQ(placement_profiles_.size(), corpus_.size());
+    MERCURIAL_CHECK_EQ(placement_profiles_.size(), static_cast<size_t>(kWorkloadKindCount));
   }
 
   if (options_.screening.adaptive) {
@@ -469,77 +468,30 @@ void FleetStudy::EnableSparseEngine(const std::vector<ShardRange>& ranges) {
 void FleetStudy::RunBurnIn() {
   // Pre-deployment acceptance testing: one thorough screen of every core at t=0 with
   // whatever corpus coverage exists at t=0.
-  auto emit = [&](const Signal& signal) {
-    auto_series_->Add(signal.time, 1.0);
-    metrics_.Increment(screen_fail_id_);
-    ++report_.screen_failures;
-    NoteSignalForAudit(signal);
-    control_plane_.Report(signal, service_);
-  };
   ScreeningOptions burn_in_options = options_.screening;
   burn_in_options.online_enabled = false;
   // Zero period => every core is due immediately, and t=0 coverage applies.
   burn_in_options.offline_period = SimTime::Seconds(0);
   // Burn-in is a one-shot acceptance sweep, never budget-arbitrated: with adaptive left on,
-  // this orchestrator's Tick would consume an (empty, never-planned) admission list and
-  // screen nothing at all.
+  // this orchestrator would consume an (empty, never-planned) admission list and screen
+  // nothing at all.
   burn_in_options.adaptive = false;
-  ScreeningOrchestrator burn_in(burn_in_options, fleet_.core_count(), rng_.Split(0xb124));
-  // Burn-in runs at t=0 under the recorder's initial (time 0, epoch 0) context.
-  burn_in.set_trace_recorder(trace_.get());
-  burn_in.Tick(SimTime::Seconds(0), options_.tick, fleet_, scheduler_, emit);
-}
-
-void FleetStudy::RunTicksSerial(
-    SimClock& clock, int64_t ticks,
-    const std::unordered_map<uint64_t, SimTime>& activation_time) {
-  // The serial engine is the legacy draw order: one persistent stream (rng_) drives
-  // production, then noise, across the whole fleet. Effects are buffered and applied at
-  // the end of the stage pair; nothing inside the stages reads the affected services, so
-  // this is bit-identical to applying them inline. The delta buffer is pooled across ticks
-  // (clear-and-reuse keeps its vectors' capacity and interned metric handles).
-  const bool sparse = options_.sparse_engine;
-  ShardDelta delta;
-  for (int64_t t = 0; t < ticks; ++t) {
-    clock.Advance(options_.tick);
-    const SimTime now = clock.now();
-    fleet_.SetAges(now);
-    if (trace_ != nullptr) {
-      trace_->SetTickContext(now, static_cast<uint64_t>(now.seconds() /
-                                                        options_.tick.seconds()));
-    }
-    if (sparse) {
-      active_index_.Advance(now);
-    }
-    if (screening_.adaptive()) {
-      // Serial plan phase: score due cores and fix this tick's screening admissions while
-      // scheduler state is frozen (it next changes in ProcessSuspects, after screening).
-      screening_.PlanAdaptiveTick(now, options_.tick, fleet_, scheduler_);
-    }
-
-    delta.Reset();
-    RunProductionShard(now, 0, fleet_.core_count(), rng_, corpus_, delta,
-                       sparse ? &active_index_.ActiveInShard(0) : nullptr);
-    EmitBackgroundNoiseShard(now, options_.tick, 0, fleet_.core_count(), rng_, delta);
-    ApplyShardDelta(delta);
-    FlushHumanReports(now);
-
-    const ScreeningTickStats screen_stats = screening_.Tick(
-        now, options_.tick, fleet_, scheduler_, [&](const Signal& signal) {
-          auto_series_->Add(now, 1.0);
-          metrics_.Increment(screen_fail_id_);
-          NoteSignalForAudit(signal);
-          control_plane_.Report(signal, service_);
-        });
-    report_.screen_failures += screen_stats.screen_failures;
-    report_.screening_ops += screen_stats.ops_spent;
-
-    ProcessSuspects(now, activation_time);
-    scheduler_.AccumulateStranding(options_.tick);
-    if (durability_ != nullptr) {
-      EndTickDurability(static_cast<uint64_t>(t));
-    }
+  const uint64_t cores = fleet_.core_count();
+  Rng stream = rng_.Split(0xb124);
+  ScreeningOrchestrator burn_in(burn_in_options, cores, stream);
+  // The constructor drew one stagger value per core from its copy of the stream; the sweep
+  // continues the stream after those draws.
+  for (uint64_t core = 0; core < cores; ++core) {
+    stream.NextDouble();
   }
+  // Burn-in runs at t=0 under the recorder's initial (time 0, epoch 0) context, as one
+  // shard spanning the whole fleet.
+  burn_in.set_trace_recorder(trace_.get());
+  ShardScreenOutcome outcome = burn_in.TickShard(SimTime::Seconds(0), options_.tick, 0, cores,
+                                                 fleet_, scheduler_, stream);
+  // Acceptance testing is not fleet screening spend: its failures count, its ops do not.
+  outcome.stats.ops_spent = 0;
+  ApplyScreenOutcome(SimTime::Seconds(0), outcome);
 }
 
 void FleetStudy::RunTicksSharded(
@@ -976,6 +928,7 @@ StudyReport FleetStudy::Run() {
   MERCURIAL_CHECK(audit_status.ok()) << audit_status.ToString();
   const Status trace_status = options_.trace.Validate();
   MERCURIAL_CHECK(trace_status.ok()) << trace_status.ToString();
+  MERCURIAL_CHECK_GT(options_.tick.seconds(), 0) << "tick must be positive";
 
   const int shards = std::max(1, options_.shards);
   const int threads = std::clamp(options_.threads, 1, shards);
@@ -1000,11 +953,7 @@ StudyReport FleetStudy::Run() {
   }
 
   const int64_t ticks = options_.duration.seconds() / options_.tick.seconds();
-  if (shards == 1) {
-    RunTicksSerial(clock, ticks, activation_time);
-  } else {
-    RunTicksSharded(clock, ticks, shards, threads, activation_time);
-  }
+  RunTicksSharded(clock, ticks, shards, threads, activation_time);
 
   Finalize();
   return report_;

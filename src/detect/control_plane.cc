@@ -93,7 +93,7 @@ void QuarantineControlPlane::AdmitSuspects(SimTime now, const std::vector<Suspec
     const uint64_t core = suspect.core_global;
     if (scheduler.state(core) == CoreState::kRetired ||
         scheduler.state(core) == CoreState::kQuarantined) {
-      continue;  // same skip rule as QuarantineManager::Process
+      continue;  // already isolated: a repeat accusation changes nothing
     }
     if (scheduler.state(core) == CoreState::kProbation) {
       // A fresh accusation while the conviction is held in appeal: the probation fails and

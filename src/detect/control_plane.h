@@ -35,11 +35,12 @@
 //     missed-confession rates and stranded core-seconds degrade as the plane is stressed.
 //
 // Determinism contract: at default options (no bound, no retries, zero drain latency, budget
-// 1.0, chaos off) the control plane performs exactly the call sequence of
-// QuarantineManager::Process — same scheduler transitions, same RNG draws, same stats — and
-// draws nothing from its own control stream, so a default study is bit-identical to the
-// pre-control-plane pipeline (control_plane_test locks this). All control-plane work runs in
-// the serial phase of the fleet engine, so reports stay thread-count invariant.
+// 1.0, chaos off) every suspect is resolved within the tick that raised it — accused,
+// quarantined, interrogated once, and finalized, in suspect order — and the plane draws
+// nothing from its own control stream. The QuarantineTest suite in detect_test drives the
+// manager through this path and checks that the plane's machinery stays inert.
+// All control-plane work runs in the serial phase of the fleet engine, so reports stay
+// thread-count invariant.
 
 #ifndef MERCURIAL_SRC_DETECT_CONTROL_PLANE_H_
 #define MERCURIAL_SRC_DETECT_CONTROL_PLANE_H_

@@ -185,24 +185,6 @@ void QuarantineManager::ForceRelease(uint64_t core_global, Fleet& fleet,
   service.Forget(core_global);
 }
 
-std::vector<QuarantineVerdict> QuarantineManager::Process(
-    SimTime now, const std::vector<SuspectCore>& suspects, Fleet& fleet,
-    CoreScheduler& scheduler, CeeReportService& service) {
-  std::vector<QuarantineVerdict> verdicts;
-  for (const SuspectCore& suspect : suspects) {
-    const uint64_t core_index = suspect.core_global;
-    if (scheduler.state(core_index) == CoreState::kRetired ||
-        scheduler.state(core_index) == CoreState::kQuarantined) {
-      continue;
-    }
-    RecordAccusation(core_index);
-    scheduler.Quarantine(core_index);
-    const Interrogation interrogation = Interrogate(core_index, fleet);
-    verdicts.push_back(Finalize(now, core_index, interrogation, fleet, scheduler, service));
-  }
-  return verdicts;
-}
-
 namespace {
 
 // Sorted key order: unordered_map iteration order is a function of hashing history, which a

@@ -6,12 +6,10 @@
 // It tracks the tradeoff the paper emphasizes: false negatives / delayed positives cause
 // corruption, false positives strand capacity, and detection itself costs cycles.
 //
-// Two entry points: Process() handles one synchronous batch (the legacy flow, still used by
-// tests and benches), and the stepwise API (RecordAccusation / Interrogate / Finalize /
-// ForceRelease) lets the QuarantineControlPlane (control_plane.h) spread the same steps over
-// time — queued admission, retried interrogations, guardrail releases — while all stats and
-// recidivism bookkeeping stay in one place. Process() is exactly a loop over the stepwise
-// calls, so both flows share one behavior.
+// The manager exposes a stepwise API (RecordAccusation / Interrogate / Finalize /
+// ForceRelease, plus the probation calls) that the QuarantineControlPlane (control_plane.h)
+// drives — queued admission, retried interrogations, guardrail releases — while all stats and
+// recidivism bookkeeping stay in one place.
 
 #ifndef MERCURIAL_SRC_DETECT_QUARANTINE_H_
 #define MERCURIAL_SRC_DETECT_QUARANTINE_H_
@@ -93,12 +91,6 @@ struct QuarantineVerdict {
 class QuarantineManager {
  public:
   QuarantineManager(QuarantinePolicy policy, Rng rng);
-
-  // Handles one batch of suspects synchronously. Already-retired and already-quarantined
-  // cores are ignored. Returns the verdicts.
-  std::vector<QuarantineVerdict> Process(SimTime now, const std::vector<SuspectCore>& suspects,
-                                         Fleet& fleet, CoreScheduler& scheduler,
-                                         CeeReportService& service);
 
   // --- Stepwise API (used by QuarantineControlPlane) --------------------------------------
 

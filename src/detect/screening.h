@@ -135,9 +135,9 @@ struct ScreeningTickStats {
   }
 };
 
-// Everything one shard's screening pass produced, buffered so the parallel engine can apply
-// side effects (suspect-service reports, scheduler drain accounting) serially in shard-index
-// order at the tick barrier.
+// Everything one shard's screening pass produced, buffered so the engine can apply side
+// effects (suspect-service reports, scheduler drain accounting) serially in shard-index order
+// at the tick barrier.
 struct ShardScreenOutcome {
   ScreeningTickStats stats;
   std::vector<Signal> failures;          // kScreenFail signals, in emission order
@@ -147,6 +147,8 @@ struct ShardScreenOutcome {
 
 class ScreeningOrchestrator {
  public:
+  // `rng` draws the initial stagger of first offline screens (one draw per core). The
+  // orchestrator keeps no stream of its own: every later draw comes from TickShard's `rng`.
   ScreeningOrchestrator(ScreeningOptions options, size_t core_count, Rng rng);
 
   // Units the corpus can test at `now`.
@@ -156,18 +158,15 @@ class ScreeningOrchestrator {
   // on the healthy-core fast path only needs the count.
   uint64_t CoveredUnitCount(SimTime now) const;
 
-  // Runs screening due in (now - dt, now]. Failures are emitted through `emit` as kScreenFail
-  // signals. Cores that are not schedulable are skipped (quarantined cores are tested by the
-  // confession path instead). The fleet's healthy cores are fast-pathed: a defect-free core
-  // cannot fail a battery (DESIGN.md decision 1), so only its cost is accounted.
-  ScreeningTickStats Tick(SimTime now, SimTime dt, Fleet& fleet, CoreScheduler& scheduler,
-                          const std::function<void(const Signal&)>& emit);
-
-  // Sharded variant for the parallel fleet engine: runs the screening due in (now - dt, now]
-  // for cores in [core_begin, core_end) only, drawing every random decision from `rng` (a
-  // per-(shard, tick) counter-derived stream — never the orchestrator's own stream, which
-  // would make results depend on shard execution order). Side effects are buffered in the
-  // returned outcome instead of applied: the caller replays them in shard-index order.
+  // Runs the screening due in (now - dt, now] for cores in [core_begin, core_end), drawing
+  // every random decision from `rng` (the fleet engine passes a per-(shard, tick)
+  // counter-derived stream, so results cannot depend on shard execution order). Failures
+  // become kScreenFail signals. Cores that are not schedulable are skipped (quarantined
+  // cores are tested by the confession path instead). The fleet's healthy cores are
+  // fast-pathed: a defect-free core cannot fail a battery (DESIGN.md decision 1), so only its
+  // cost is accounted. Side effects are buffered in the returned outcome instead of applied:
+  // the caller owes each offline-screened core a scheduler Drain + Release and replays the
+  // failures, in shard-index order.
   // Safe to call concurrently for disjoint core ranges: it reads shared state (fleet core
   // lookup, frozen scheduler states, coverage schedule) and mutates only this orchestrator's
   // per-core due times within the range and the cores themselves (shard-owned). Online
@@ -194,7 +193,7 @@ class ScreeningOrchestrator {
   // Sparse offline screening: builds one due-wheel per shard over `shard_ranges` (the
   // engine's core partition, [begin, end) pairs in shard order) so each tick visits only the
   // cores whose screen is due instead of scanning the whole range. Must be called at most
-  // once, before the first Tick/TickShard, with the tick length the engine will use; every
+  // once, before the first TickShard, with the tick length the engine will use; every
   // subsequent tick must advance by exactly `dt` (the wheel drains tick by tick).
   //
   // Bit-identity with the dense scan: the wheel is only an index — next_offline_due_ remains
@@ -222,7 +221,7 @@ class ScreeningOrchestrator {
   // sparse, a due-table scan when dense), scores each, sorts by priority (risk desc, core id
   // asc), and greedily admits under this tick's ops budget. Admitted cores are rescheduled on
   // their risk-scaled cadence and queued — in ascending core order, so shard execution stays
-  // the dense visit order — for Tick/TickShard to screen; deferred cores stay due next tick.
+  // the dense visit order — for TickShard to screen; deferred cores stay due next tick.
   // Scheduler states are frozen between this call and the screening pass, so the
   // schedulability decisions made here remain valid at execution time.
   void PlanAdaptiveTick(SimTime now, SimTime dt, Fleet& fleet, const CoreScheduler& scheduler);
@@ -257,9 +256,10 @@ class ScreeningOrchestrator {
     SimTime last_screen = SimTime::Seconds(-1);  // last offline screen; -1 = never
   };
 
+  // Screens one core, charging `outcome.stats` and appending a failure signal; returns true
+  // on failure.
   bool ScreenOne(SimTime now, uint64_t core_index, bool offline, uint64_t iterations,
-                 Fleet& fleet, Rng& rng, const std::function<void(const Signal&)>& emit,
-                 ScreeningTickStats& stats);
+                 Fleet& fleet, Rng& rng, ShardScreenOutcome& outcome);
 
   // Weighted risk sum for one core; serial-phase only (mutates probation_seen).
   double RiskScore(SimTime now, uint64_t core, Fleet& fleet);
@@ -281,7 +281,6 @@ class ScreeningOrchestrator {
                          ShardWheel& sw);
 
   ScreeningOptions options_;
-  Rng rng_;
   std::vector<SimTime> next_offline_due_;  // staggered per core
   TraceRecorder* trace_ = nullptr;
   // Sparse-engine state; empty when running dense.

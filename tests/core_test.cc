@@ -191,6 +191,16 @@ TEST(FleetStudyTest, RunTwiceIsAnError) {
   EXPECT_DEATH(study.Run(), "Run can only be called once");
 }
 
+TEST(FleetStudyTest, RejectsNonPositiveTick) {
+  for (const SimTime tick : {SimTime::Seconds(0), SimTime::Days(-1)}) {
+    StudyOptions options = SmallStudy();
+    options.fleet.machine_count = 4;
+    options.tick = tick;
+    FleetStudy study(options);
+    EXPECT_DEATH(study.Run(), "tick must be positive");
+  }
+}
+
 TEST(FleetStudyTest, StrandedCapacityAccounted) {
   FleetStudy study(SmallStudy(13));
   const StudyReport report = study.Run();

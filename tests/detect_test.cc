@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "src/detect/confession.h"
+#include "src/detect/control_plane.h"
 #include "src/detect/quarantine.h"
 #include "src/detect/report_service.h"
 #include "src/detect/screening.h"
@@ -221,6 +222,27 @@ TEST(ConfessionTest, LimitedReproducibility) {
 
 // --- Screening ------------------------------------------------------------------------------
 
+// One screening tick over the whole fleet as a single shard, followed by what the fleet engine
+// applies at its merge barrier: every offline-screened core is drained (with its risk tier,
+// when adaptive) and released. Failures are appended to `failures` when it is given.
+ScreeningTickStats ScreenTick(ScreeningOrchestrator& orchestrator, SimTime now, SimTime dt,
+                              Fleet& fleet, CoreScheduler& scheduler, Rng& rng,
+                              std::vector<Signal>* failures = nullptr) {
+  const ShardScreenOutcome outcome =
+      orchestrator.TickShard(now, dt, 0, fleet.core_count(), fleet, scheduler, rng);
+  for (size_t i = 0; i < outcome.offline_drained.size(); ++i) {
+    scheduler.Drain(outcome.offline_drained[i]);
+    if (!outcome.drained_tiers.empty()) {
+      scheduler.NoteScreenDrainTier(outcome.drained_tiers[i]);
+    }
+    scheduler.Release(outcome.offline_drained[i]);
+  }
+  if (failures != nullptr) {
+    failures->insert(failures->end(), outcome.failures.begin(), outcome.failures.end());
+  }
+  return outcome.stats;
+}
+
 TEST(ScreeningTest, CoverageGrowsOnSchedule) {
   ScreeningOptions options;
   options.initial_coverage = {ExecUnit::kIntAlu};
@@ -247,13 +269,12 @@ TEST(ScreeningTest, OfflineScreeningFindsCoveredDefect) {
   options.online_enabled = false;
   ScreeningOrchestrator orchestrator(options, fleet.core_count(), Rng(2));
   CoreScheduler scheduler(fleet.core_count(), SchedulerCosts{});
+  Rng rng(2);
 
   std::vector<Signal> emitted;
   // Two ticks: staggering spreads first screens over one period.
-  orchestrator.Tick(SimTime::Days(1), SimTime::Days(1), fleet, scheduler,
-                    [&](const Signal& s) { emitted.push_back(s); });
-  orchestrator.Tick(SimTime::Days(2), SimTime::Days(1), fleet, scheduler,
-                    [&](const Signal& s) { emitted.push_back(s); });
+  ScreenTick(orchestrator, SimTime::Days(1), SimTime::Days(1), fleet, scheduler, rng, &emitted);
+  ScreenTick(orchestrator, SimTime::Days(2), SimTime::Days(1), fleet, scheduler, rng, &emitted);
   ASSERT_FALSE(emitted.empty());
   EXPECT_EQ(emitted[0].core_global, 5u);
   EXPECT_EQ(static_cast<int>(emitted[0].type), static_cast<int>(SignalType::kScreenFail));
@@ -275,14 +296,15 @@ TEST(ScreeningTest, UncoveredDefectIsAZeroDay) {
   options.online_enabled = false;
   ScreeningOrchestrator orchestrator(options, fleet.core_count(), Rng(3));
   CoreScheduler scheduler(fleet.core_count(), SchedulerCosts{});
+  Rng rng(3);
 
-  int failures = 0;
+  std::vector<Signal> failures;
   for (int day = 1; day <= 3; ++day) {
-    const auto stats = orchestrator.Tick(SimTime::Days(day), SimTime::Days(1), fleet, scheduler,
-                                         [&](const Signal&) { ++failures; });
-    (void)stats;
+    ScreenTick(orchestrator, SimTime::Days(day), SimTime::Days(1), fleet, scheduler, rng,
+               &failures);
   }
-  EXPECT_EQ(failures, 0) << "no AES test in the corpus yet -> defect invisible to screening";
+  EXPECT_EQ(failures.size(), 0u)
+      << "no AES test in the corpus yet -> defect invisible to screening";
 }
 
 TEST(ScreeningTest, ScreeningChargesOpsForHealthyCores) {
@@ -295,8 +317,9 @@ TEST(ScreeningTest, ScreeningChargesOpsForHealthyCores) {
   options.online_enabled = false;
   ScreeningOrchestrator orchestrator(options, fleet.core_count(), Rng(4));
   CoreScheduler scheduler(fleet.core_count(), SchedulerCosts{});
-  const auto stats = orchestrator.Tick(SimTime::Days(2), SimTime::Days(1), fleet, scheduler,
-                                       [](const Signal&) {});
+  Rng rng(4);
+  const auto stats =
+      ScreenTick(orchestrator, SimTime::Days(2), SimTime::Days(1), fleet, scheduler, rng);
   EXPECT_GT(stats.offline_screens, 0u);
   EXPECT_GT(stats.ops_spent, 0u) << "screening is not free even when nothing fails";
   EXPECT_EQ(stats.screen_failures, 0u);
@@ -315,8 +338,9 @@ TEST(ScreeningTest, QuarantinedCoresAreSkipped) {
   for (uint64_t c = 0; c < fleet.core_count(); ++c) {
     scheduler.Quarantine(c);
   }
-  const auto stats = orchestrator.Tick(SimTime::Days(2), SimTime::Days(1), fleet, scheduler,
-                                       [](const Signal&) {});
+  Rng rng(5);
+  const auto stats =
+      ScreenTick(orchestrator, SimTime::Days(2), SimTime::Days(1), fleet, scheduler, rng);
   EXPECT_EQ(stats.offline_screens, 0u);
 }
 
@@ -495,11 +519,12 @@ TEST(ScreeningTest, OnlineSamplingRatePreservedAtSubDayTicks) {
 
   const auto run = [&](SimTime dt, uint64_t rng_seed) {
     ScreeningOrchestrator orchestrator(options, fleet.core_count(), Rng(rng_seed));
+    Rng rng(rng_seed);
     uint64_t sampled = 0;
     const int64_t ticks = SimTime::Days(kDays).seconds() / dt.seconds();
     for (int64_t t = 1; t <= ticks; ++t) {
-      const auto stats = orchestrator.Tick(SimTime::Seconds(t * dt.seconds()), dt, fleet,
-                                           scheduler, [](const Signal&) {});
+      const auto stats =
+          ScreenTick(orchestrator, SimTime::Seconds(t * dt.seconds()), dt, fleet, scheduler, rng);
       sampled += stats.online_screens;
     }
     return sampled;
@@ -570,8 +595,9 @@ TEST(ScreeningAdaptiveTest, BudgetDefersDueCoresDeterministically) {
   EXPECT_EQ(stats.tier_screens[1], 1u) << "never-screened cores sit in the warm tier";
   EXPECT_EQ(stats.ops_planned, options.budget_ops_per_day);
 
-  const auto tick_stats = orchestrator.Tick(SimTime::Days(1), SimTime::Days(1), fleet,
-                                            scheduler, [](const Signal&) {});
+  Rng rng(2);
+  const auto tick_stats =
+      ScreenTick(orchestrator, SimTime::Days(1), SimTime::Days(1), fleet, scheduler, rng);
   EXPECT_EQ(tick_stats.offline_screens, 1u) << "execution consumes exactly the planned list";
   EXPECT_EQ(tick_stats.ops_spent, options.budget_ops_per_day);
 }
@@ -601,9 +627,9 @@ TEST(ScreeningAdaptiveTest, EvidenceWinsThePriorityQueueUnderBudget) {
   EXPECT_EQ(orchestrator.risk_stats().tier_screens[2], 1u);
 
   std::vector<Signal> emitted;
-  const auto tick_stats = orchestrator.Tick(SimTime::Days(1), SimTime::Days(1), fleet,
-                                            scheduler,
-                                            [&](const Signal& s) { emitted.push_back(s); });
+  Rng rng(3);
+  const auto tick_stats = ScreenTick(orchestrator, SimTime::Days(1), SimTime::Days(1), fleet,
+                                     scheduler, rng, &emitted);
   EXPECT_EQ(tick_stats.offline_screens, 1u);
   ASSERT_EQ(emitted.size(), 1u) << "the admitted screen must be the defective, accused core";
   EXPECT_EQ(emitted[0].core_global, 7u);
@@ -612,6 +638,8 @@ TEST(ScreeningAdaptiveTest, EvidenceWinsThePriorityQueueUnderBudget) {
 
 // --- Quarantine manager -----------------------------------------------------------------------
 
+// The manager is driven the way the fleet engine drives it: through the control plane at
+// default options, which resolves every suspect within the tick that raised it.
 struct QuarantineHarness {
   explicit QuarantineHarness(double rate_multiplier = 0.0)
       : fleet(Fleet::Build([&] {
@@ -625,10 +653,35 @@ struct QuarantineHarness {
           return static_cast<uint32_t>(fleet.machine(m).core_count());
         }) {}
 
+  // Accuses `core` on `day` with enough direct screen-fail evidence to make it a suspect, then
+  // runs that day's control-plane tick. The plane's own machinery must stay inert at defaults:
+  // nothing shed, retried, escalated, throttled or reset, and nothing left pending.
+  std::vector<QuarantineVerdict> Accuse(QuarantineControlPlane& plane, uint64_t core, int day) {
+    const SimTime now = SimTime::Days(day);
+    for (int i = 0; i < 3; ++i) {
+      plane.Report(Signal{now, fleet.core_id(core).machine, core, SignalType::kScreenFail},
+                   service);
+    }
+    std::vector<QuarantineVerdict> verdicts =
+        plane.Tick(now, SimTime::Days(1), fleet, scheduler, service, /*screening=*/nullptr);
+    const ControlPlaneStats& cp = plane.stats();
+    EXPECT_EQ(cp.suspects_shed, 0u);
+    EXPECT_EQ(cp.retries_scheduled, 0u);
+    EXPECT_EQ(cp.drain_escalations, 0u);
+    EXPECT_EQ(cp.guardrail_activations, 0u);
+    EXPECT_EQ(cp.restarts_reset, 0u);
+    EXPECT_EQ(plane.pending_count(), 0u) << "defaults resolve every suspect within its tick";
+    return verdicts;
+  }
+
   Fleet fleet;
   CoreScheduler scheduler;
   CeeReportService service;
 };
+
+QuarantineControlPlane DefaultPlane(const QuarantinePolicy& policy, uint64_t seed) {
+  return QuarantineControlPlane(ControlPlaneOptions{}, policy, Rng(seed), Rng(~seed));
+}
 
 TEST(QuarantineTest, DefectiveSuspectIsRetired) {
   QuarantineHarness h;
@@ -636,10 +689,9 @@ TEST(QuarantineTest, DefectiveSuspectIsRetired) {
 
   QuarantinePolicy policy;
   policy.confession.stress.iterations_per_unit = 128;
-  QuarantineManager manager(policy, Rng(1));
-  const std::vector<SuspectCore> suspects{{9, h.fleet.core_id(9).machine, 6.0, 1e-6}};
-  const auto verdicts = manager.Process(SimTime::Days(3), suspects, h.fleet, h.scheduler,
-                                        h.service);
+  QuarantineControlPlane plane = DefaultPlane(policy, 1);
+  const QuarantineManager& manager = plane.manager();
+  const auto verdicts = h.Accuse(plane, 9, 3);
   ASSERT_EQ(verdicts.size(), 1u);
   EXPECT_TRUE(verdicts[0].confessed);
   EXPECT_TRUE(verdicts[0].retired);
@@ -652,10 +704,9 @@ TEST(QuarantineTest, DefectiveSuspectIsRetired) {
 TEST(QuarantineTest, HealthySuspectIsReleased) {
   QuarantineHarness h;
   QuarantinePolicy policy;
-  QuarantineManager manager(policy, Rng(2));
-  const std::vector<SuspectCore> suspects{{4, h.fleet.core_id(4).machine, 6.0, 1e-6}};
-  const auto verdicts = manager.Process(SimTime::Days(3), suspects, h.fleet, h.scheduler,
-                                        h.service);
+  QuarantineControlPlane plane = DefaultPlane(policy, 2);
+  const QuarantineManager& manager = plane.manager();
+  const auto verdicts = h.Accuse(plane, 4, 3);
   ASSERT_EQ(verdicts.size(), 1u);
   EXPECT_FALSE(verdicts[0].retired);
   EXPECT_TRUE(h.scheduler.Schedulable(4));
@@ -675,14 +726,14 @@ TEST(QuarantineTest, RecidivismRetiresEvasiveCore) {
   policy.confession.stress.iterations_per_unit = 8;
   policy.confession.max_attempts = 1;
   policy.recidivism_retire_after = 3;
-  QuarantineManager manager(policy, Rng(3));
+  QuarantineControlPlane plane = DefaultPlane(policy, 3);
+  const QuarantineManager& manager = plane.manager();
 
-  const std::vector<SuspectCore> suspects{{2, h.fleet.core_id(2).machine, 6.0, 1e-6}};
-  manager.Process(SimTime::Days(1), suspects, h.fleet, h.scheduler, h.service);
+  h.Accuse(plane, 2, 1);
   EXPECT_TRUE(h.scheduler.Schedulable(2)) << "first accusation: released";
-  manager.Process(SimTime::Days(2), suspects, h.fleet, h.scheduler, h.service);
+  h.Accuse(plane, 2, 2);
   EXPECT_TRUE(h.scheduler.Schedulable(2)) << "second accusation: released";
-  manager.Process(SimTime::Days(3), suspects, h.fleet, h.scheduler, h.service);
+  h.Accuse(plane, 2, 3);
   EXPECT_EQ(static_cast<int>(h.scheduler.state(2)), static_cast<int>(CoreState::kRetired))
       << "third accusation: recidivism retirement";
   EXPECT_EQ(manager.stats().recidivism_retirements, 1u);
@@ -692,9 +743,9 @@ TEST(QuarantineTest, NoConfessionRequiredRetiresOnSuspicion) {
   QuarantineHarness h;
   QuarantinePolicy policy;
   policy.require_confession = false;
-  QuarantineManager manager(policy, Rng(4));
-  const std::vector<SuspectCore> suspects{{4, h.fleet.core_id(4).machine, 6.0, 1e-6}};
-  manager.Process(SimTime::Days(1), suspects, h.fleet, h.scheduler, h.service);
+  QuarantineControlPlane plane = DefaultPlane(policy, 4);
+  const QuarantineManager& manager = plane.manager();
+  h.Accuse(plane, 4, 1);
   EXPECT_EQ(static_cast<int>(h.scheduler.state(4)), static_cast<int>(CoreState::kRetired));
   EXPECT_EQ(manager.stats().false_positive_retirements, 1u)
       << "aggressive policy strands healthy capacity";
@@ -704,11 +755,10 @@ TEST(QuarantineTest, AlreadyRetiredSuspectsAreSkipped) {
   QuarantineHarness h;
   QuarantinePolicy policy;
   policy.require_confession = false;
-  QuarantineManager manager(policy, Rng(5));
-  const std::vector<SuspectCore> suspects{{4, h.fleet.core_id(4).machine, 6.0, 1e-6}};
-  manager.Process(SimTime::Days(1), suspects, h.fleet, h.scheduler, h.service);
-  const auto verdicts =
-      manager.Process(SimTime::Days(2), suspects, h.fleet, h.scheduler, h.service);
+  QuarantineControlPlane plane = DefaultPlane(policy, 5);
+  const QuarantineManager& manager = plane.manager();
+  h.Accuse(plane, 4, 1);
+  const auto verdicts = h.Accuse(plane, 4, 2);
   EXPECT_TRUE(verdicts.empty());
   EXPECT_EQ(manager.stats().retirements, 1u);
 }
@@ -717,10 +767,10 @@ TEST(QuarantineTest, ReaccusedCoreIsNotDoubleCountedInSuspectsProcessed) {
   QuarantineHarness h;
   QuarantinePolicy policy;
   policy.recidivism_retire_after = 0;  // keep releasing so the core can be re-accused
-  QuarantineManager manager(policy, Rng(6));
-  const std::vector<SuspectCore> suspects{{4, h.fleet.core_id(4).machine, 6.0, 1e-6}};
+  QuarantineControlPlane plane = DefaultPlane(policy, 6);
+  const QuarantineManager& manager = plane.manager();
   for (int day = 1; day <= 4; ++day) {
-    manager.Process(SimTime::Days(day), suspects, h.fleet, h.scheduler, h.service);
+    h.Accuse(plane, 4, day);
   }
   EXPECT_EQ(manager.stats().suspects_processed, 1u)
       << "one distinct core, regardless of how many times it was re-accused";
@@ -732,16 +782,16 @@ TEST(QuarantineTest, RecidivismBoundaryReleasesUntilThreshold) {
   QuarantineHarness h;
   QuarantinePolicy policy;
   policy.recidivism_retire_after = 4;
-  QuarantineManager manager(policy, Rng(7));
+  QuarantineControlPlane plane = DefaultPlane(policy, 7);
+  const QuarantineManager& manager = plane.manager();
   // A healthy core never confesses, so every verdict is recidivism-driven.
-  const std::vector<SuspectCore> suspects{{4, h.fleet.core_id(4).machine, 6.0, 1e-6}};
   for (int accusation = 1; accusation <= 3; ++accusation) {
-    manager.Process(SimTime::Days(accusation), suspects, h.fleet, h.scheduler, h.service);
+    h.Accuse(plane, 4, accusation);
     EXPECT_TRUE(h.scheduler.Schedulable(4))
         << "accusation " << accusation << " of retire_after - 1 must release";
   }
   EXPECT_EQ(manager.stats().recidivism_retirements, 0u);
-  manager.Process(SimTime::Days(4), suspects, h.fleet, h.scheduler, h.service);
+  h.Accuse(plane, 4, 4);
   EXPECT_EQ(static_cast<int>(h.scheduler.state(4)), static_cast<int>(CoreState::kRetired))
       << "accusation number retire_after retires";
   EXPECT_EQ(manager.stats().recidivism_retirements, 1u);
@@ -751,10 +801,10 @@ TEST(QuarantineTest, RecidivismZeroNeverRetiresByReaccusation) {
   QuarantineHarness h;
   QuarantinePolicy policy;
   policy.recidivism_retire_after = 0;
-  QuarantineManager manager(policy, Rng(8));
-  const std::vector<SuspectCore> suspects{{4, h.fleet.core_id(4).machine, 6.0, 1e-6}};
+  QuarantineControlPlane plane = DefaultPlane(policy, 8);
+  const QuarantineManager& manager = plane.manager();
   for (int day = 1; day <= 8; ++day) {
-    manager.Process(SimTime::Days(day), suspects, h.fleet, h.scheduler, h.service);
+    h.Accuse(plane, 4, day);
     ASSERT_TRUE(h.scheduler.Schedulable(4)) << "day " << day;
   }
   EXPECT_EQ(manager.stats().recidivism_retirements, 0u);

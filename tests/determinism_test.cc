@@ -6,8 +6,8 @@
 //   D1. Thread-count invariance: the same StudyOptions (shards fixed) produce a StudyReport
 //       that is EXACTLY equal — every counter, every weekly bucket, every histogram bin,
 //       every floating-point cost accumulator — at threads = 1, 2, and 8.
-//   D2. Serial regression lock: two shards=1 runs with the same seed match exactly (the
-//       pre-sharding serial contract; the shards=1 engine is the legacy draw order).
+//   D2. One-shard partition: two shards=1 runs with the same seed match exactly (shards=1 is
+//       the same engine and counter-keyed streams, over a single shard).
 //   D3. Replays: a sharded study replayed with the same options matches itself (the sharded
 //       engine is a pure function of StudyOptions).
 //   D4. The thread knob is execution-only: thread pool sizes beyond the shard count are
@@ -29,7 +29,7 @@
 //   D10. Sparse-engine equivalence: the due-wheel + active-index sparse tick engine produces
 //       a StudyReport (including trace bytes, quorum, audit, and probation fields) EXACTLY
 //       equal to the dense reference oracle, across 3 seeds x chaos {off, high} x audit
-//       {off, on} x threads {1, 2, 8}, plus the serial (shards = 1) engine. This is the
+//       {off, on} x threads {1, 2, 8}, plus the one-shard partition. This is the
 //       stream-neutrality obligation of the sparse overhaul (DESIGN.md, "Decision: sparsity
 //       is free when streams are counter-keyed"): skipped cores draw nothing, so visiting
 //       only due/active cores cannot shift any stream.
@@ -268,7 +268,7 @@ TEST(DeterminismTest, ReportIsThreadCountInvariant) {
   }
 }
 
-// D2: regression lock for the serial contract — two shards=1 runs with one seed match.
+// D2: the one-shard partition (shards=1) is a pure function of StudyOptions too.
 TEST(DeterminismTest, SerialEngineIsSeedDeterministic) {
   const StudyReport first = RunStudy(HarnessOptions(/*shards=*/1, /*threads=*/1));
   const StudyReport second = RunStudy(HarnessOptions(/*shards=*/1, /*threads=*/1));
@@ -403,7 +403,7 @@ TEST(DeterminismTest, AuditedReportIsThreadCountInvariant) {
 
 // D7: auditing is an observer. Turning it on must not change any legacy field of the report —
 // the ledger taps existing events, the conviction hook rides existing verdicts, and the
-// orchestrator draws only from its own Split stream. Serial and sharded engines both.
+// orchestrator draws only from its own Split stream. One-shard and sharded partitions both.
 TEST(DeterminismTest, AuditIsBitInvisibleToLegacyReport) {
   for (const int shards : {1, 8}) {
     StudyOptions audited = AuditHarness(shards, /*threads=*/shards == 1 ? 1 : 2);
@@ -469,7 +469,7 @@ TEST(DeterminismTest, GoldenTraceIsThreadCountInvariant) {
 
 // D8b: tracing is an observer. The recorder consumes no randomness and emission sits off the
 // decision paths, so every legacy report field must be bit-identical with tracing on vs off —
-// serial and sharded engines both.
+// one-shard and sharded partitions both.
 TEST(DeterminismTest, TracingIsBitInvisibleToLegacyReport) {
   for (const int shards : {1, 8}) {
     StudyOptions traced = TraceHarness(/*chaos=*/true, /*audit=*/true,
@@ -599,9 +599,8 @@ TEST(DeterminismTest, SparseEngineMatchesDenseOracle) {
   }
 }
 
-// D10b: the serial engine (shards = 1, legacy stream on rng_) sparsifies identically — the
-// wheel and index do not depend on the counter-keyed streams, only on skipped visits being
-// draw-free, which holds for the persistent serial stream too.
+// D10b: the one-shard partition (shards = 1) sparsifies identically — a single wheel and
+// index slice spanning the whole fleet, where every skipped visit is still draw-free.
 TEST(DeterminismTest, SparseSerialEngineMatchesDenseOracle) {
   for (const uint64_t seed : {uint64_t{7}, uint64_t{20210531}, uint64_t{424242}}) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
@@ -686,7 +685,7 @@ TEST(DeterminismTest, CrashedControllerRecoversBitIdentically) {
 
 // D11b: durability is an observer. Journaling consumes no randomness and the crash stream is
 // stateless per tick, so enabling the journal with no crash due leaves every report field and
-// every trace byte identical to a durability-off run — serial and sharded engines both.
+// every trace byte identical to a durability-off run — one-shard and sharded partitions both.
 TEST(DeterminismTest, DurabilityIsBitInvisibleWithoutCrashes) {
   for (const int shards : {1, 8}) {
     StudyOptions durable = SparseHarness(/*seed=*/20210531, /*chaos=*/true, /*audit=*/true,
@@ -801,82 +800,87 @@ TEST(DeterminismTest, AdaptiveOffIsBitInvisibleToLegacyReport) {
 // first principles — same seed, salt, shard, tick — and demanding the study's traced noise
 // signals match the replay event for event while fleet growth is thinning the noise. Any
 // reordering of the pick draw, or any draw added/removed on the uninstalled path, diverges.
+// Runs at one and two shards: the one-shard partition draws from the same per-(shard, tick)
+// streams.
 TEST(DeterminismTest, BackgroundNoiseDrawAccountingIsPinnedUnderFleetGrowth) {
-  StudyOptions options;
-  options.seed = 20210531;
-  options.fleet.machine_count = 8;
-  options.fleet.seed = 99;
-  options.fleet.mercurial_rate_multiplier = 0.0;  // no mercurial cores: noise draws lead
-  // Most machines install DURING the study, so uninstalled picks (the one-draw skip path
-  // under test) are common in the first half.
-  options.fleet.install_spread = SimTime::Days(20);
-  options.fleet.future_install_spread = SimTime::Days(60);
-  options.duration = SimTime::Days(80);
-  options.background_signal_rate_per_core_day = 0.02;
-  options.shards = 2;
-  options.threads = 1;
-  options.trace.enabled = true;
+  for (const int shards : {1, 2}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    StudyOptions options;
+    options.seed = 20210531;
+    options.fleet.machine_count = 8;
+    options.fleet.seed = 99;
+    options.fleet.mercurial_rate_multiplier = 0.0;  // no mercurial cores: noise draws lead
+    // Most machines install DURING the study, so uninstalled picks (the one-draw skip path
+    // under test) are common in the first half.
+    options.fleet.install_spread = SimTime::Days(20);
+    options.fleet.future_install_spread = SimTime::Days(60);
+    options.duration = SimTime::Days(80);
+    options.background_signal_rate_per_core_day = 0.02;
+    options.shards = shards;
+    options.threads = 1;
+    options.trace.enabled = true;
 
-  FleetStudy study(options);
-  const Fleet& fleet = study.fleet();
-  ASSERT_TRUE(fleet.mercurial_cores().empty())
-      << "replay assumes the production pass consumes no draws before the noise pass";
-  const StudyReport report = study.Run();
+    FleetStudy study(options);
+    const Fleet& fleet = study.fleet();
+    ASSERT_TRUE(fleet.mercurial_cores().empty())
+        << "replay assumes the production pass consumes no draws before the noise pass";
+    const StudyReport report = study.Run();
 
-  // Replay the per-(shard, tick) production streams. With zero mercurial cores the noise
-  // draws are the first draws on each stream. Install times are construction state, so the
-  // study's own fleet serves as the replay's layout oracle.
-  const std::vector<ShardRange> ranges = PartitionCores(fleet.core_count(), options.shards);
-  struct NoiseEvent {
-    int64_t time_seconds;
-    uint64_t core;
-    uint64_t type;
-  };
-  std::vector<NoiseEvent> expected;
-  uint64_t skipped_uninstalled = 0;
-  const int64_t ticks = options.duration.seconds() / options.tick.seconds();
-  for (int64_t t = 0; t < ticks; ++t) {
-    const SimTime now = SimTime::Seconds((t + 1) * options.tick.seconds());
-    for (size_t k = 0; k < ranges.size(); ++k) {
-      Rng rng(DeriveStreamSeed(options.seed ^ kProductionStreamSalt, k,
-                               static_cast<uint64_t>(t)));
-      const uint64_t span = ranges[k].end - ranges[k].begin;
-      const double mean = static_cast<double>(span) *
-                          options.background_signal_rate_per_core_day *
-                          options.tick.days();
-      const uint64_t events = rng.Poisson(mean);
-      for (uint64_t e = 0; e < events; ++e) {
-        const uint64_t core = ranges[k].begin + rng.UniformInt(0, span - 1);
-        if (!fleet.Installed(core, now)) {
-          ++skipped_uninstalled;  // exactly one draw consumed: the pick above
-          continue;
+    // Replay the per-(shard, tick) production streams. With zero mercurial cores the noise
+    // draws are the first draws on each stream. Install times are construction state, so the
+    // study's own fleet serves as the replay's layout oracle.
+    const std::vector<ShardRange> ranges = PartitionCores(fleet.core_count(), options.shards);
+    struct NoiseEvent {
+      int64_t time_seconds;
+      uint64_t core;
+      uint64_t type;
+    };
+    std::vector<NoiseEvent> expected;
+    uint64_t skipped_uninstalled = 0;
+    const int64_t ticks = options.duration.seconds() / options.tick.seconds();
+    for (int64_t t = 0; t < ticks; ++t) {
+      const SimTime now = SimTime::Seconds((t + 1) * options.tick.seconds());
+      for (size_t k = 0; k < ranges.size(); ++k) {
+        Rng rng(DeriveStreamSeed(options.seed ^ kProductionStreamSalt, k,
+                                 static_cast<uint64_t>(t)));
+        const uint64_t span = ranges[k].end - ranges[k].begin;
+        const double mean = static_cast<double>(span) *
+                            options.background_signal_rate_per_core_day *
+                            options.tick.days();
+        const uint64_t events = rng.Poisson(mean);
+        for (uint64_t e = 0; e < events; ++e) {
+          const uint64_t core = ranges[k].begin + rng.UniformInt(0, span - 1);
+          if (!fleet.Installed(core, now)) {
+            ++skipped_uninstalled;  // exactly one draw consumed: the pick above
+            continue;
+          }
+          const double draw = rng.NextDouble();
+          uint64_t type = static_cast<uint64_t>(SignalType::kCrash);
+          if (draw < 0.15) {
+            type = static_cast<uint64_t>(SignalType::kSanitizer);
+          } else if (draw < 0.30) {
+            type = static_cast<uint64_t>(SignalType::kAppReport);
+          }
+          expected.push_back({now.seconds(), core, type});
         }
-        const double draw = rng.NextDouble();
-        uint64_t type = static_cast<uint64_t>(SignalType::kCrash);
-        if (draw < 0.15) {
-          type = static_cast<uint64_t>(SignalType::kSanitizer);
-        } else if (draw < 0.30) {
-          type = static_cast<uint64_t>(SignalType::kAppReport);
-        }
-        expected.push_back({now.seconds(), core, type});
       }
     }
-  }
-  ASSERT_GT(skipped_uninstalled, 0u) << "growth never thinned the noise; pin is vacuous";
-  ASSERT_GT(expected.size(), 0u);
+    ASSERT_GT(skipped_uninstalled, 0u) << "growth never thinned the noise; pin is vacuous";
+    ASSERT_GT(expected.size(), 0u);
 
-  std::vector<NoiseEvent> traced;
-  for (const TraceEvent& event : report.trace.events) {
-    if (event.kind == TraceEventKind::kSignalEmitted &&
-        event.cause == TraceCause::kBackgroundNoise) {
-      traced.push_back({event.time_seconds, event.core, event.detail});
+    std::vector<NoiseEvent> traced;
+    for (const TraceEvent& event : report.trace.events) {
+      if (event.kind == TraceEventKind::kSignalEmitted &&
+          event.cause == TraceCause::kBackgroundNoise) {
+        traced.push_back({event.time_seconds, event.core, event.detail});
+      }
     }
-  }
-  ASSERT_EQ(traced.size(), expected.size());
-  for (size_t i = 0; i < expected.size(); ++i) {
-    EXPECT_EQ(traced[i].time_seconds, expected[i].time_seconds) << "event " << i;
-    EXPECT_EQ(traced[i].core, expected[i].core) << "event " << i;
-    EXPECT_EQ(traced[i].type, expected[i].type) << "event " << i;
+    ASSERT_EQ(traced.size(), expected.size());
+    for (size_t i = 0; i < expected.size(); ++i) {
+      EXPECT_EQ(traced[i].time_seconds, expected[i].time_seconds) << "event " << i;
+      EXPECT_EQ(traced[i].core, expected[i].core) << "event " << i;
+      EXPECT_EQ(traced[i].type, expected[i].type) << "event " << i;
+    }
   }
 }
 

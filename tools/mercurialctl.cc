@@ -192,12 +192,9 @@ void DefineStudyFlags(FlagSet& flags) {
                      "risk at or above this quadruples the battery depth");
   flags.DefineBool("burn-in", false, "screen every core once before production");
   flags.DefineInt("threads", 1, "worker threads for the sharded parallel engine");
-  flags.DefineInt("shards", 0,
-                  "random-stream shards (0 = auto: 1 when --threads=1, else 8x threads); "
-                  "part of the experiment identity — results depend on shards, never threads");
-  flags.DefineBool("sparse-engine", true,
-                   "due-wheel sparse tick engine (O(active work) per tick); disable to run "
-                   "the dense reference oracle — results are bit-identical either way");
+  flags.DefineInt("shards", 8,
+                  "random-stream shards; part of the experiment identity — results depend on "
+                  "shards, never threads");
   flags.DefineBool("fig1", false, "also print the weekly incident-rate series as CSV");
   flags.DefineInt("quarantine-queue", 0,
                   "max suspects resident in the quarantine pipeline (0 = unbounded)");
@@ -290,11 +287,8 @@ Status BuildStudyOptions(const FlagSet& flags, StudyOptions* out) {
   options.burn_in = flags.GetBool("burn-in");
   options.threads = static_cast<int>(flags.GetInt("threads"));
   options.shards = static_cast<int>(flags.GetInt("shards"));
-  options.sparse_engine = flags.GetBool("sparse-engine");
-  if (options.shards <= 0) {
-    // Auto: serial legacy engine for one thread; otherwise 8 shards per thread so the
-    // dynamic scheduler can balance unevenly-loaded shards.
-    options.shards = options.threads <= 1 ? 1 : 8 * options.threads;
+  if (options.shards < 1) {
+    return InvalidArgumentError("--shards must be at least 1");
   }
   const int64_t period = flags.GetInt("screening-period");
   options.screening.offline_enabled = period > 0;
@@ -800,7 +794,8 @@ int CmdTrace(int argc, const char* const* argv) {
   flags.DefineInt("seed", 42, "master seed (fixes the whole study)");
   flags.DefineDouble("multiplier", 150.0, "mercurial-core rate multiplier over product rates");
   flags.DefineInt("threads", 1, "worker threads for the sharded parallel engine");
-  flags.DefineInt("shards", 0, "random-stream shards (0 = auto, as in `study`)");
+  flags.DefineInt("shards", 8,
+                  "random-stream shards; part of the experiment identity, as in `study`");
   flags.DefineBool("audit", false,
                    "blast-radius auditing: annotates timelines with artifact counts and "
                    "records repair events");
@@ -827,8 +822,9 @@ int CmdTrace(int argc, const char* const* argv) {
   options.screening.offline_period = SimTime::Days(30);
   options.threads = static_cast<int>(flags.GetInt("threads"));
   options.shards = static_cast<int>(flags.GetInt("shards"));
-  if (options.shards <= 0) {
-    options.shards = options.threads <= 1 ? 1 : 8 * options.threads;
+  if (options.shards < 1) {
+    std::fprintf(stderr, "--shards must be at least 1\n");
+    return 1;
   }
   options.audit.enabled = flags.GetBool("audit");
   options.trace.enabled = true;
