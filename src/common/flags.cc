@@ -31,6 +31,12 @@ void FlagSet::DefineInt(const std::string& name, int64_t default_value, const st
   flags_[name] = Flag{Type::kInt, text, text, help};
 }
 
+void FlagSet::DefineUint(const std::string& name, uint64_t default_value,
+                         const std::string& help) {
+  const std::string text = std::to_string(default_value);
+  flags_[name] = Flag{Type::kUint, text, text, help};
+}
+
 void FlagSet::DefineDouble(const std::string& name, double default_value,
                            const std::string& help) {
   char buffer[48];
@@ -52,11 +58,16 @@ Status FlagSet::SetValue(const std::string& name, const std::string& value) {
   switch (flag.type) {
     case Type::kString:
       break;
-    case Type::kInt: {
+    case Type::kInt:
+    case Type::kUint: {
       char* end = nullptr;
       (void)std::strtoll(value.c_str(), &end, 10);
       if (end == nullptr || *end != '\0' || value.empty()) {
         return InvalidArgumentError("flag --" + name + " expects an integer, got '" + value +
+                                    "'");
+      }
+      if (flag.type == Type::kUint && value.find('-') != std::string::npos) {
+        return InvalidArgumentError("flag --" + name + " must not be negative, got '" + value +
                                     "'");
       }
       break;
@@ -139,6 +150,10 @@ std::string FlagSet::GetString(const std::string& name) const {
 
 int64_t FlagSet::GetInt(const std::string& name) const {
   return std::strtoll(Require(name, Type::kInt).value.c_str(), nullptr, 10);
+}
+
+uint64_t FlagSet::GetUint(const std::string& name) const {
+  return std::strtoull(Require(name, Type::kUint).value.c_str(), nullptr, 10);
 }
 
 double FlagSet::GetDouble(const std::string& name) const {

@@ -24,6 +24,8 @@ class FlagSet {
   void DefineString(const std::string& name, const std::string& default_value,
                     const std::string& help);
   void DefineInt(const std::string& name, int64_t default_value, const std::string& help);
+  // An integer that refuses a negative value instead of letting it wrap to ~2^64.
+  void DefineUint(const std::string& name, uint64_t default_value, const std::string& help);
   void DefineDouble(const std::string& name, double default_value, const std::string& help);
   void DefineBool(const std::string& name, bool default_value, const std::string& help);
 
@@ -33,6 +35,7 @@ class FlagSet {
 
   std::string GetString(const std::string& name) const;
   int64_t GetInt(const std::string& name) const;
+  uint64_t GetUint(const std::string& name) const;
   double GetDouble(const std::string& name) const;
   bool GetBool(const std::string& name) const;
 
@@ -42,7 +45,7 @@ class FlagSet {
   std::string Usage() const;
 
  private:
-  enum class Type { kString, kInt, kDouble, kBool };
+  enum class Type { kString, kInt, kUint, kDouble, kBool };
 
   struct Flag {
     Type type;

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <string>
+#include <utility>
 
 #include "src/common/logging.h"
 #include "src/common/thread_pool.h"
@@ -24,7 +26,68 @@ RepairOptions ResolveAuditOptions(const StudyOptions& options) {
   return audit;
 }
 
+// Checked before anything is built from the options, and with durability derived: a journal
+// file or a controller crash needs the journal armed.
+StudyOptions ResolveStudyOptions(const StudyOptions& options) {
+  const Status status = options.Validate();
+  MERCURIAL_CHECK(status.ok()) << status.ToString();
+  StudyOptions resolved = options;
+  resolved.durability.enabled = options.durability.enabled ||
+                                !options.durability.journal_path.empty() ||
+                                options.control_plane.chaos.controller_enabled();
+  return resolved;
+}
+
+bool IsProbability(double p) { return p >= 0.0 && p <= 1.0; }
+
+bool IsFiniteNonNegative(double x) { return std::isfinite(x) && x >= 0.0; }
+
 }  // namespace
+
+Status StudyOptions::Validate() const {
+  if (fleet.machine_count < 1) {
+    return InvalidArgumentError("fleet.machine_count must be >= 1");
+  }
+  if (!IsFiniteNonNegative(fleet.mercurial_rate_multiplier)) {
+    return InvalidArgumentError("fleet.mercurial_rate_multiplier must be finite and >= 0");
+  }
+  if (duration.seconds() < 0) {
+    return InvalidArgumentError("duration must be >= 0");
+  }
+  if (tick.seconds() <= 0) {
+    return InvalidArgumentError("tick must be positive");
+  }
+  if (shards < 1 || threads < 1) {
+    return InvalidArgumentError("shards and threads must be >= 1");
+  }
+  const std::pair<const char*, double> probabilities[] = {
+      {"app_report_probability", app_report_probability},
+      {"sanitizer_probability", sanitizer_probability},
+      {"crash_human_report_probability", crash_human_report_probability},
+      {"silent_human_notice_probability", silent_human_notice_probability},
+      {"mca_bank_confusion", mca_bank_confusion},
+      {"workload.check_probability", workload.check_probability},
+      {"workload.late_check_fraction", workload.late_check_fraction},
+  };
+  for (const auto& [name, p] : probabilities) {
+    if (!IsProbability(p)) {
+      return InvalidArgumentError(std::string(name) + " must be in [0, 1]");
+    }
+  }
+  if (!IsFiniteNonNegative(background_signal_rate_per_core_day)) {
+    return InvalidArgumentError("background_signal_rate_per_core_day must be finite and >= 0");
+  }
+  if (human_report_mean_delay.seconds() <= 0) {
+    return InvalidArgumentError("human_report_mean_delay must be positive");
+  }
+  for (const Status& status : {ValidateScreeningOptions(screening), control_plane.Validate(),
+                               audit.Validate(), trace.Validate()}) {
+    if (!status.ok()) {
+      return status;
+    }
+  }
+  return Status::Ok();
+}
 
 // Everything one shard's production + noise pass may produce, buffered so the tick's side
 // effects can be applied to the shared services serially in shard-index order. Buffers are
@@ -71,7 +134,7 @@ struct FleetStudy::ShardDelta {
 };
 
 FleetStudy::FleetStudy(StudyOptions options)
-    : options_(options),
+    : options_(ResolveStudyOptions(options)),
       rng_(options.seed),
       fleet_(Fleet::Build(options.fleet)),
       scheduler_(fleet_.core_count(), options.scheduler_costs),
@@ -146,7 +209,7 @@ FleetStudy::FleetStudy(StudyOptions options)
     // this block is emission at the lifecycle sites; none of it draws randomness, which is
     // what keeps an enabled trace bit-invisible to the legacy report.
     trace_ = std::make_unique<TraceRecorder>(options_.trace, fleet_.core_count(),
-                                             std::max(1, options_.shards));
+                                             options_.shards);
     for (uint64_t core = 0; core < fleet_.core_count(); ++core) {
       fleet_.core(core).set_trace_recorder(trace_.get());
     }
@@ -920,18 +983,8 @@ StudyReport FleetStudy::Run() {
   MERCURIAL_CHECK(!ran_) << "FleetStudy::Run can only be called once";
   ran_ = true;
 
-  const Status screening_status = ValidateScreeningOptions(options_.screening);
-  MERCURIAL_CHECK(screening_status.ok()) << screening_status.ToString();
-  const Status plane_status = options_.control_plane.Validate();
-  MERCURIAL_CHECK(plane_status.ok()) << plane_status.ToString();
-  const Status audit_status = options_.audit.Validate();
-  MERCURIAL_CHECK(audit_status.ok()) << audit_status.ToString();
-  const Status trace_status = options_.trace.Validate();
-  MERCURIAL_CHECK(trace_status.ok()) << trace_status.ToString();
-  MERCURIAL_CHECK_GT(options_.tick.seconds(), 0) << "tick must be positive";
-
-  const int shards = std::max(1, options_.shards);
-  const int threads = std::clamp(options_.threads, 1, shards);
+  const int shards = options_.shards;
+  const int threads = std::min(options_.threads, shards);
 
   SimClock clock;
   fleet_.SetAges(clock.now());

@@ -31,6 +31,7 @@
 
 #include "src/common/histogram.h"
 #include "src/common/rng.h"
+#include "src/common/status.h"
 #include "src/core/active_index.h"
 #include "src/detect/control_plane.h"
 #include "src/detect/mca_log.h"
@@ -56,6 +57,7 @@ namespace mercurial {
 // crashes (ChaosOptions::controller_crash_* / journal_* knobs); durability decides what
 // survives. Disabled, the study is bit-identical to the pre-durability engine.
 struct DurabilityOptions {
+  // A journal_path or controller-crash chaos arms durability too (see FleetStudy).
   bool enabled = false;
   // Ticks between full snapshots (0 = only the initial snapshot; replay grows unboundedly).
   uint64_t snapshot_every = 64;
@@ -146,6 +148,13 @@ struct StudyOptions {
   // t=0 the backlog of never-screened active defects produces a cold-start spike that a
   // long-running fleet would not show).
   SimTime series_warmup = SimTime::Days(0);
+
+  // Rejects options no study can run meaningfully, with INVALID_ARGUMENT: an empty fleet, a
+  // negative or non-finite rate, a probability outside [0, 1] (NaN included), a negative
+  // duration, a non-positive tick or human-report delay, fewer than one shard or thread, and
+  // whatever the screening, control-plane, audit and trace validators reject. FleetStudy's
+  // constructor CHECKs it; callers holding outside input call it first.
+  Status Validate() const;
 };
 
 // Durability and crash-recovery accounting (populated only when StudyOptions::durability is
@@ -250,6 +259,9 @@ inline constexpr uint64_t kControllerCrashSalt = 0x6372617368000000ull;  // "cra
 
 class FleetStudy {
  public:
+  // CHECK-fails unless options.Validate() accepts them. Durability is armed when
+  // options.durability.enabled is set, a journal path is given, or controller-crash chaos is
+  // on (a crash needs a journal to recover from).
   explicit FleetStudy(StudyOptions options);
 
   // Runs the configured duration and returns the report. Can only be called once.

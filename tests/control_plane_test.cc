@@ -1172,8 +1172,7 @@ TEST(ControlPlaneStudyTest, StudyRejectsInvalidControlPlaneOptions) {
   options.fleet.machine_count = 4;
   options.duration = SimTime::Days(2);
   options.control_plane.quarantine_budget_fraction = 0.0;
-  FleetStudy study(options);
-  EXPECT_DEATH(study.Run(), "quarantine_budget_fraction");
+  EXPECT_DEATH(FleetStudy{options}, "quarantine_budget_fraction");
 }
 
 }  // namespace

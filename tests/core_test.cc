@@ -196,9 +196,21 @@ TEST(FleetStudyTest, RejectsNonPositiveTick) {
     StudyOptions options = SmallStudy();
     options.fleet.machine_count = 4;
     options.tick = tick;
-    FleetStudy study(options);
-    EXPECT_DEATH(study.Run(), "tick must be positive");
+    EXPECT_DEATH(FleetStudy{options}, "tick must be positive");
   }
+}
+
+TEST(FleetStudyTest, ControllerCrashChaosArmsDurability) {
+  StudyOptions options = SmallStudy();
+  options.fleet.machine_count = 8;
+  options.duration = SimTime::Days(20);
+  options.control_plane.chaos.controller_crash_every_ticks = 5;
+  ASSERT_FALSE(options.durability.enabled);
+  FleetStudy study(options);
+  const StudyReport report = study.Run();
+  EXPECT_NE(study.durability(), nullptr);
+  EXPECT_TRUE(report.durability.enabled);
+  EXPECT_EQ(report.durability.controller_crashes, 4u);
 }
 
 TEST(FleetStudyTest, StrandedCapacityAccounted) {

@@ -151,12 +151,14 @@ TEST(FlagsTest, ParsesAllForms) {
   flags.DefineInt("count", 5, "an int");
   flags.DefineDouble("rate", 0.5, "a double");
   flags.DefineBool("verbose", false, "a bool");
+  flags.DefineUint("size", 1, "an unsigned int");
 
   const char* argv[] = {"prog", "--name=widget", "--count", "42", "--rate=2.5", "--verbose",
-                        "positional"};
-  ASSERT_TRUE(flags.Parse(7, argv).ok());
+                        "--size=18446744073709551615", "positional"};
+  ASSERT_TRUE(flags.Parse(8, argv).ok());
   EXPECT_EQ(flags.GetString("name"), "widget");
   EXPECT_EQ(flags.GetInt("count"), 42);
+  EXPECT_EQ(flags.GetUint("size"), UINT64_MAX);
   EXPECT_DOUBLE_EQ(flags.GetDouble("rate"), 2.5);
   EXPECT_TRUE(flags.GetBool("verbose"));
   ASSERT_EQ(flags.positional().size(), 1u);
@@ -187,9 +189,14 @@ TEST(FlagsTest, BadValuesRejected) {
   flags.DefineInt("count", 5, "an int");
   flags.DefineDouble("rate", 0.5, "a double");
   flags.DefineBool("verbose", false, "a bool");
+  flags.DefineUint("size", 1, "an unsigned int");
   {
     const char* argv[] = {"prog", "--count=abc"};
     EXPECT_FALSE(flags.Parse(2, argv).ok());
+  }
+  for (const char* negative : {"--size=-1", "--size= -1"}) {
+    const char* argv[] = {"prog", negative};
+    EXPECT_EQ(flags.Parse(2, argv).code(), StatusCode::kInvalidArgument) << negative;
   }
   {
     const char* argv[] = {"prog", "--rate=xyz"};

@@ -26,6 +26,7 @@
 #include "src/common/flags.h"
 #include "src/common/wire.h"
 #include "src/core/fleet_study.h"
+#include "src/core/study_flags.h"
 #include "src/core/tradeoff.h"
 #include "src/detect/confession.h"
 #include "src/detect/quorum.h"
@@ -166,216 +167,23 @@ bool ExportTraceArtifacts(const IncidentTrace& trace, const std::string& jsonl_p
   return true;
 }
 
-// Shared between `study` and `recover`: the full study flag surface. `recover` re-parses the
-// argv recorded in the journal manifest through these same definitions, so the rebuilt study
-// is flag-for-flag the invocation that wrote the journal.
-void DefineStudyFlags(FlagSet& flags) {
-  flags.DefineInt("machines", 500, "fleet size in machines");
-  flags.DefineInt("days", 365, "simulated study duration");
-  flags.DefineInt("seed", 42, "master seed (fixes the whole study)");
-  flags.DefineDouble("multiplier", 25.0, "mercurial-core rate multiplier over product rates");
-  flags.DefineInt("work-units", 20, "work units per busy core-day");
-  flags.DefineInt("screening-period", 45, "offline screening cadence in days (0 = disabled)");
-  flags.DefineBool("screen-adaptive", false,
-                   "risk-adaptive offline screening: score due cores (report evidence, "
-                   "screen-fail recidivism, probation, age, operating-point stress, coverage "
-                   "gaps) and spend the ops budget riskiest-first");
-  flags.DefineInt("screen-budget-ops-per-day", 0,
-                  "adaptive screening budget in battery micro-ops per day (0 = unmetered)");
-  flags.DefineDouble("screen-risk-min-period-days", 10.0,
-                     "adaptive cadence floor for the riskiest cores");
-  flags.DefineDouble("screen-risk-max-period-days", 60.0,
-                     "adaptive cadence ceiling for pristine cores");
-  flags.DefineDouble("screen-risk-warm", 1.0,
-                     "risk at or above this doubles the battery depth");
-  flags.DefineDouble("screen-risk-hot", 3.0,
-                     "risk at or above this quadruples the battery depth");
-  flags.DefineBool("burn-in", false, "screen every core once before production");
-  flags.DefineInt("threads", 1, "worker threads for the sharded parallel engine");
-  flags.DefineInt("shards", 8,
-                  "random-stream shards; part of the experiment identity — results depend on "
-                  "shards, never threads");
+// Shared between `study` and `recover`: the study-options table plus the flags that only shape
+// the printed report, then StudyOptions::Validate(). `recover` re-parses the argv recorded in
+// the journal manifest through it, so the rebuilt study is flag-for-flag the invocation that
+// wrote the journal.
+Status ParseStudyInvocation(int argc, const char* const* argv, FlagSet& flags,
+                            StudyOptions* options) {
+  DefineStudyOptionFlags(flags);
   flags.DefineBool("fig1", false, "also print the weekly incident-rate series as CSV");
-  flags.DefineInt("quarantine-queue", 0,
-                  "max suspects resident in the quarantine pipeline (0 = unbounded)");
-  flags.DefineInt("quarantine-retries", 0,
-                  "extra interrogation attempts for non-confessing suspects");
-  flags.DefineDouble("quarantine-backoff-days", 2.0, "base retry backoff in days");
-  flags.DefineDouble("quarantine-budget", 1.0,
-                     "max fraction of cores draining+quarantined at once (1.0 = no guardrail)");
-  flags.DefineDouble("chaos-drop", 0.0, "P(suspect report lost in flight)");
-  flags.DefineDouble("chaos-dup", 0.0, "P(suspect report delivered twice)");
-  flags.DefineDouble("chaos-delay", 0.0, "P(suspect report delivered late)");
-  flags.DefineDouble("chaos-delay-days", 2.0, "mean delivery delay for delayed reports");
-  flags.DefineDouble("chaos-abort", 0.0, "P(interrogation battery preempted mid-run)");
-  flags.DefineDouble("chaos-restarts", 0.0,
-                     "machine crash-restart rate per machine-day (resets in-flight quarantines)");
-  flags.DefineBool("quorum", false,
-                   "judge each interrogation battery by a quorum of witness cores");
-  flags.DefineInt("quorum-witnesses", 3, "initial quorum size");
-  flags.DefineInt("quorum-max-escalations", 2,
-                  "wider quorums (2W+1) convened after split votes before falling back");
-  flags.DefineDouble("quorum-witness-error", 0.25,
-                     "P(a mercurial witness with an active defect misreads the battery)");
-  flags.DefineDouble("quorum-strong-agreement", 1.0,
-                     "agreement below this marks the conviction's evidence weak (1.0 = only "
-                     "unanimity is strong)");
-  flags.DefineBool("probation", false,
-                   "weak-evidence convictions enter restricted service + shadow screening "
-                   "instead of terminal retirement");
-  flags.DefineDouble("probation-window-days", 7.0, "shadow-screen cadence in days");
-  flags.DefineInt("probation-clean-windows", 3, "clean windows before reinstatement");
-  flags.DefineInt("probation-weak-attempts", 0,
-                  "confessions needing more interrogation attempts than this are weak "
-                  "evidence (0 = off)");
-  flags.DefineDouble("chaos-lying-witness", 0.0,
-                     "P(a cast witness vote — or the lone tester's verdict — is flipped)");
-  flags.DefineDouble("chaos-witness-crash", 0.0, "P(a witness crashes mid-vote, casting none)");
-  flags.DefineDouble("chaos-probation-suppress", 0.0,
-                     "P(a probation shadow-screen confession is swallowed in flight)");
-  flags.DefineBool("audit", false,
-                   "blast-radius auditing + retroactive repair after conviction");
-  flags.DefineInt("audit-repair-budget", 4096,
-                  "max artifacts re-verified/re-executed per tick");
-  flags.DefineInt("audit-retries", 3, "repair passes per suspect epoch before abandoning");
-  flags.DefineDouble("audit-backoff-days", 1.0, "base repair retry backoff in days");
-  flags.DefineDouble("audit-lookback-days", 180.0,
-                     "max suspect window behind a conviction, in days");
-  flags.DefineDouble("audit-onset-margin-days", 14.0,
-                     "margin before the first signal in the defect-onset estimate, in days");
-  flags.DefineInt("audit-backlog", 1 << 20,
-                  "max queued suspect artifacts before lowest-risk epochs are shed");
-  flags.DefineDouble("chaos-repair-fail", 0.0, "P(repair re-verification misses a corruption)");
-  flags.DefineDouble("chaos-repair-defective", 0.0,
-                     "P(repair pass forced onto a defective executor)");
-  flags.DefineDouble("chaos-repair-partial", 0.0, "P(repair pass preempted mid-epoch)");
-  flags.DefineBool("trace", false,
-                   "record the incident flight recorder and print per-core timelines");
-  flags.DefineInt("trace-ring-capacity", 1 << 16, "flight-recorder slots per shard ring");
   flags.DefineInt("trace-core", -1,
                   "print only this core's timeline (-1 = every convicted core)");
   flags.DefineString("trace-jsonl", "", "export the full trace as JSONL to this path");
   flags.DefineString("trace-csv", "", "export the full trace as CSV to this path");
-  flags.DefineBool("durable", false,
-                   "arm the write-ahead journal + snapshots for the controller state "
-                   "(in memory; --journal adds a write-through file)");
-  flags.DefineString("journal", "",
-                     "write-through journal file (implies --durable); replay it with "
-                     "`mercurialctl recover --journal=PATH`");
-  flags.DefineInt("snapshot-every", 64,
-                  "ticks between full journal snapshots (0 = initial snapshot only)");
-  flags.DefineInt("chaos-controller-crash-every", 0,
-                  "kill + recover the controller from the journal every K ticks "
-                  "(0 = off; implies --durable)");
-  flags.DefineDouble("chaos-controller-crash", 0.0,
-                     "controller crash rate per day, at chaos-chosen ticks (implies --durable)");
-  flags.DefineDouble("chaos-journal-torn-tail", 0.0,
-                     "P(a controller crash also tears bytes off the journal tail)");
-  flags.DefineDouble("chaos-journal-bit-flip", 0.0,
-                     "P(a controller crash also flips one bit in the journal tail)");
-}
-
-// Builds and validates StudyOptions from a parsed study flag set.
-Status BuildStudyOptions(const FlagSet& flags, StudyOptions* out) {
-  StudyOptions options;
-  options.seed = static_cast<uint64_t>(flags.GetInt("seed"));
-  options.fleet.machine_count = static_cast<size_t>(flags.GetInt("machines"));
-  options.fleet.mercurial_rate_multiplier = flags.GetDouble("multiplier");
-  options.duration = SimTime::Days(flags.GetInt("days"));
-  options.work_units_per_core_day = static_cast<uint64_t>(flags.GetInt("work-units"));
-  options.workload.payload_bytes = 256;
-  options.burn_in = flags.GetBool("burn-in");
-  options.threads = static_cast<int>(flags.GetInt("threads"));
-  options.shards = static_cast<int>(flags.GetInt("shards"));
-  if (options.shards < 1) {
-    return InvalidArgumentError("--shards must be at least 1");
+  Status status = flags.Parse(argc, argv, 2);
+  if (status.ok()) {
+    status = StudyOptionsFromFlags(flags, options);
   }
-  const int64_t period = flags.GetInt("screening-period");
-  options.screening.offline_enabled = period > 0;
-  if (period > 0) {
-    options.screening.offline_period = SimTime::Days(period);
-  }
-  options.screening.adaptive = flags.GetBool("screen-adaptive");
-  options.screening.budget_ops_per_day =
-      static_cast<uint64_t>(flags.GetInt("screen-budget-ops-per-day"));
-  options.screening.adaptive_min_period = SimTime::Seconds(
-      static_cast<int64_t>(flags.GetDouble("screen-risk-min-period-days") * 86400.0));
-  options.screening.adaptive_max_period = SimTime::Seconds(
-      static_cast<int64_t>(flags.GetDouble("screen-risk-max-period-days") * 86400.0));
-  options.screening.risk_warm = flags.GetDouble("screen-risk-warm");
-  options.screening.risk_hot = flags.GetDouble("screen-risk-hot");
-  if (Status bad_screening = ValidateScreeningOptions(options.screening); !bad_screening.ok()) {
-    return bad_screening;
-  }
-  options.control_plane.max_pending = static_cast<size_t>(flags.GetInt("quarantine-queue"));
-  options.control_plane.max_retries = static_cast<int>(flags.GetInt("quarantine-retries"));
-  options.control_plane.retry_backoff = SimTime::Seconds(
-      static_cast<int64_t>(flags.GetDouble("quarantine-backoff-days") * 86400.0));
-  options.control_plane.quarantine_budget_fraction = flags.GetDouble("quarantine-budget");
-  options.control_plane.chaos.drop_report = flags.GetDouble("chaos-drop");
-  options.control_plane.chaos.duplicate_report = flags.GetDouble("chaos-dup");
-  options.control_plane.chaos.delay_report = flags.GetDouble("chaos-delay");
-  options.control_plane.chaos.report_delay_mean = SimTime::Seconds(
-      static_cast<int64_t>(flags.GetDouble("chaos-delay-days") * 86400.0));
-  options.control_plane.chaos.abort_interrogation = flags.GetDouble("chaos-abort");
-  options.control_plane.chaos.machine_restart_per_day = flags.GetDouble("chaos-restarts");
-  options.control_plane.quorum.enabled = flags.GetBool("quorum");
-  options.control_plane.quorum.witnesses = static_cast<int>(flags.GetInt("quorum-witnesses"));
-  options.control_plane.quorum.max_escalations =
-      static_cast<int>(flags.GetInt("quorum-max-escalations"));
-  options.control_plane.quorum.witness_error_rate = flags.GetDouble("quorum-witness-error");
-  options.control_plane.quorum.strong_agreement = flags.GetDouble("quorum-strong-agreement");
-  options.control_plane.probation.enabled = flags.GetBool("probation");
-  options.control_plane.probation.window = SimTime::Seconds(
-      static_cast<int64_t>(flags.GetDouble("probation-window-days") * 86400.0));
-  options.control_plane.probation.clean_windows_to_reinstate =
-      static_cast<int>(flags.GetInt("probation-clean-windows"));
-  options.control_plane.probation.weak_after_attempts =
-      static_cast<int>(flags.GetInt("probation-weak-attempts"));
-  options.control_plane.chaos.lying_witness = flags.GetDouble("chaos-lying-witness");
-  options.control_plane.chaos.witness_crash = flags.GetDouble("chaos-witness-crash");
-  options.control_plane.chaos.probation_suppress = flags.GetDouble("chaos-probation-suppress");
-  options.audit.enabled = flags.GetBool("audit");
-  options.audit.repair_budget_per_tick =
-      static_cast<uint64_t>(flags.GetInt("audit-repair-budget"));
-  options.audit.max_attempts = static_cast<int>(flags.GetInt("audit-retries"));
-  options.audit.retry_backoff = SimTime::Seconds(
-      static_cast<int64_t>(flags.GetDouble("audit-backoff-days") * 86400.0));
-  options.audit.max_lookback = SimTime::Seconds(
-      static_cast<int64_t>(flags.GetDouble("audit-lookback-days") * 86400.0));
-  options.audit.onset_margin = SimTime::Seconds(
-      static_cast<int64_t>(flags.GetDouble("audit-onset-margin-days") * 86400.0));
-  options.audit.max_backlog_artifacts = static_cast<uint64_t>(flags.GetInt("audit-backlog"));
-  options.audit.chaos.repair_fail_reverify = flags.GetDouble("chaos-repair-fail");
-  options.audit.chaos.repair_on_defective = flags.GetDouble("chaos-repair-defective");
-  options.audit.chaos.repair_partial = flags.GetDouble("chaos-repair-partial");
-  options.trace.enabled = flags.GetBool("trace");
-  options.trace.ring_capacity = static_cast<size_t>(flags.GetInt("trace-ring-capacity"));
-  options.control_plane.chaos.controller_crash_per_day =
-      flags.GetDouble("chaos-controller-crash");
-  options.control_plane.chaos.controller_crash_every_ticks =
-      static_cast<int>(flags.GetInt("chaos-controller-crash-every"));
-  options.control_plane.chaos.journal_torn_tail = flags.GetDouble("chaos-journal-torn-tail");
-  options.control_plane.chaos.journal_bit_flip = flags.GetDouble("chaos-journal-bit-flip");
-  if (flags.GetInt("snapshot-every") < 0) {
-    return InvalidArgumentError("--snapshot-every must be >= 0");
-  }
-  options.durability.snapshot_every = static_cast<uint64_t>(flags.GetInt("snapshot-every"));
-  options.durability.journal_path = flags.GetString("journal");
-  options.durability.enabled = flags.GetBool("durable") ||
-                               !options.durability.journal_path.empty() ||
-                               options.control_plane.chaos.controller_enabled();
-  if (Status invalid = options.control_plane.Validate(); !invalid.ok()) {
-    return invalid;
-  }
-  if (Status bad_audit = options.audit.Validate(); !bad_audit.ok()) {
-    return bad_audit;
-  }
-  if (Status bad_trace = options.trace.Validate(); !bad_trace.ok()) {
-    return bad_trace;
-  }
-  *out = std::move(options);
-  return Status::Ok();
+  return status.ok() ? options->Validate() : status;
 }
 
 // The journal manifest is the study's own argv — [u32 count][u32 len + bytes]* — enough for
@@ -453,20 +261,12 @@ void PrintDurabilitySection(const DurabilityStats& d) {
 
 int CmdStudy(int argc, const char* const* argv) {
   FlagSet flags;
-  DefineStudyFlags(flags);
-  const Status status = flags.Parse(argc, argv, 2);
-  if (!status.ok()) {
-    std::fprintf(stderr, "%s\nflags:\n%s", status.ToString().c_str(), flags.Usage().c_str());
-    return 1;
-  }
   StudyOptions options;
-  if (Status bad = BuildStudyOptions(flags, &options); !bad.ok()) {
-    std::fprintf(stderr, "%s\n", bad.ToString().c_str());
+  if (Status bad = ParseStudyInvocation(argc, argv, flags, &options); !bad.ok()) {
+    std::fprintf(stderr, "%s\nflags:\n%s", bad.ToString().c_str(), flags.Usage().c_str());
     return 1;
   }
-  if (options.durability.enabled) {
-    options.durability.manifest = EncodeArgvManifest(argc, argv);
-  }
+  options.durability.manifest = EncodeArgvManifest(argc, argv);
 
   FleetStudy study(options);
   std::printf("fleet: %zu machines / %zu cores / %zu mercurial cores planted\n",
@@ -612,7 +412,7 @@ int CmdStudy(int argc, const char* const* argv) {
     }
   }
 
-  if (options.durability.enabled) {
+  if (report.durability.enabled) {
     PrintDurabilitySection(report.durability);
     if (!options.durability.journal_path.empty()) {
       std::printf("  journal file           %s\n", options.durability.journal_path.c_str());
@@ -729,15 +529,11 @@ int CmdRecover(int argc, const char* const* argv) {
     raw.push_back(arg.c_str());
   }
   FlagSet study_flags;
-  DefineStudyFlags(study_flags);
-  if (Status bad = study_flags.Parse(static_cast<int>(raw.size()), raw.data(), 2);
-      !bad.ok()) {
-    std::fprintf(stderr, "recovered invocation does not parse: %s\n", bad.ToString().c_str());
-    return 1;
-  }
   StudyOptions options;
-  if (Status bad = BuildStudyOptions(study_flags, &options); !bad.ok()) {
-    std::fprintf(stderr, "%s\n", bad.ToString().c_str());
+  if (Status bad = ParseStudyInvocation(static_cast<int>(raw.size()), raw.data(), study_flags,
+                                        &options);
+      !bad.ok()) {
+    std::fprintf(stderr, "recovered invocation is invalid: %s\n", bad.ToString().c_str());
     return 1;
   }
   options.durability.enabled = true;
@@ -789,7 +585,7 @@ int CmdRecover(int argc, const char* const* argv) {
 // via `mercurialctl study --trace`.
 int CmdTrace(int argc, const char* const* argv) {
   FlagSet flags;
-  flags.DefineInt("machines", 200, "fleet size in machines");
+  flags.DefineUint("machines", 200, "fleet size in machines");
   flags.DefineInt("days", 180, "simulated study duration");
   flags.DefineInt("seed", 42, "master seed (fixes the whole study)");
   flags.DefineDouble("multiplier", 150.0, "mercurial-core rate multiplier over product rates");
@@ -799,7 +595,7 @@ int CmdTrace(int argc, const char* const* argv) {
   flags.DefineBool("audit", false,
                    "blast-radius auditing: annotates timelines with artifact counts and "
                    "records repair events");
-  flags.DefineInt("ring-capacity", 1 << 16, "flight-recorder slots per shard ring");
+  flags.DefineUint("ring-capacity", 1 << 16, "flight-recorder slots per shard ring");
   flags.DefineInt("core", -1, "print only this core's timeline (-1 = every convicted core)");
   flags.DefineDouble("window-start-day", -1.0,
                      "with --window-end-day: also print every event in [start, end) days");
@@ -812,26 +608,19 @@ int CmdTrace(int argc, const char* const* argv) {
     return 1;
   }
 
-  StudyOptions options;
+  StudyOptions options = CliStudyDefaults();
   options.seed = static_cast<uint64_t>(flags.GetInt("seed"));
-  options.fleet.machine_count = static_cast<size_t>(flags.GetInt("machines"));
+  options.fleet.machine_count = flags.GetUint("machines");
   options.fleet.mercurial_rate_multiplier = flags.GetDouble("multiplier");
   options.duration = SimTime::Days(flags.GetInt("days"));
-  options.work_units_per_core_day = 20;
-  options.workload.payload_bytes = 256;
   options.screening.offline_period = SimTime::Days(30);
   options.threads = static_cast<int>(flags.GetInt("threads"));
   options.shards = static_cast<int>(flags.GetInt("shards"));
-  if (options.shards < 1) {
-    std::fprintf(stderr, "--shards must be at least 1\n");
-    return 1;
-  }
   options.audit.enabled = flags.GetBool("audit");
   options.trace.enabled = true;
-  options.trace.ring_capacity = static_cast<size_t>(flags.GetInt("ring-capacity"));
-  const Status bad_trace = options.trace.Validate();
-  if (!bad_trace.ok()) {
-    std::fprintf(stderr, "%s\n", bad_trace.ToString().c_str());
+  options.trace.ring_capacity = flags.GetUint("ring-capacity");
+  if (Status bad = options.Validate(); !bad.ok()) {
+    std::fprintf(stderr, "%s\n", bad.ToString().c_str());
     return 1;
   }
 
@@ -847,7 +636,8 @@ int CmdTrace(int argc, const char* const* argv) {
 
   const double window_start = flags.GetDouble("window-start-day");
   const double window_end = flags.GetDouble("window-end-day");
-  if (window_start >= 0.0 && window_end > window_start) {
+  // The bound keeps the seconds cast below defined.
+  if (window_start >= 0.0 && window_end > window_start && window_end * 86400.0 < 0x1p63) {
     const TraceQuery query(report.trace);
     const std::vector<TraceEvent> slice =
         query.TimeWindow(SimTime::Seconds(static_cast<int64_t>(window_start * 86400.0)),
