@@ -1,12 +1,13 @@
-// Little-endian byte codec helpers shared by the durable-state serializers.
+// Little-endian byte codec shared by every serializer in the repo.
 //
-// The write-ahead journal (src/durability) persists controller state as framed byte payloads;
-// each durable component (control plane, repair orchestrator, ledger, trace rings) encodes its
-// own state with these helpers so every serializer agrees on one wire convention: fixed-width
-// little-endian integers, doubles as their IEEE-754 bit patterns (bit-exact round trips — the
-// recovered study must be bit-identical, so "close" is data loss), and length-prefixed blobs.
-// The reader is bounds-checked and fails with DATA_LOSS instead of reading past a truncated
-// payload, matching the framing discipline of SerializeCheckpoint and the trace codec.
+// Every wire format is built on these two classes: the write-ahead journal's frames and the
+// durable units inside them (control plane, repair orchestrator, ledger, trace rings), the
+// trace codec (SerializeTrace / ParseTrace), the checkpoint frame (SerializeCheckpoint /
+// RestoreCheckpoint) and the journal's argv manifest. So there is one wire convention —
+// fixed-width little-endian integers, doubles as their IEEE-754 bit patterns (bit-exact round
+// trips: the recovered study must be bit-identical, so "close" is data loss), and
+// length-prefixed blobs (PutBlob / GetBlob) — and one bounds-checked reader, which fails with
+// DATA_LOSS instead of reading past a truncated payload.
 
 #ifndef MERCURIAL_SRC_COMMON_WIRE_H_
 #define MERCURIAL_SRC_COMMON_WIRE_H_
@@ -14,8 +15,11 @@
 #include <bit>
 #include <cstdint>
 #include <cstring>
+#include <limits>
+#include <span>
 #include <vector>
 
+#include "src/common/logging.h"
 #include "src/common/status.h"
 
 namespace mercurial {
@@ -54,6 +58,17 @@ class ByteWriter {
 
   void PutBool(bool v) { PutU8(v ? 1 : 0); }
 
+  void PutBytes(std::span<const uint8_t> bytes) {
+    out_.insert(out_.end(), bytes.begin(), bytes.end());
+  }
+
+  // Length-prefixed blob: u32 byte count, then the bytes. ByteReader::GetBlob reads it back.
+  void PutBlob(std::span<const uint8_t> bytes) {
+    MERCURIAL_CHECK_LE(bytes.size(), std::numeric_limits<uint32_t>::max());
+    PutU32(static_cast<uint32_t>(bytes.size()));
+    PutBytes(bytes);
+  }
+
   size_t size() const { return out_.size(); }
 
  private:
@@ -62,6 +77,7 @@ class ByteWriter {
 
 class ByteReader {
  public:
+  ByteReader() = default;
   ByteReader(const uint8_t* data, size_t size) : data_(data), size_(size) {}
 
   Status GetU8(uint8_t* v) {
@@ -128,7 +144,31 @@ class ByteReader {
     return Status::Ok();
   }
 
+  // Sets `*out` to a reader over the next `n` bytes and advances past them.
+  Status GetBytes(size_t n, ByteReader* out) {
+    if (n > remaining()) {
+      return DataLossError("wire payload truncated (bytes)");
+    }
+    *out = ByteReader(data_ + pos_, n);
+    pos_ += n;
+    return Status::Ok();
+  }
+
+  // Reads a PutBlob: the u32 length is checked against what remains, so a corrupt length is
+  // DATA_LOSS, never a read past the payload. `*blob` is bounded to exactly the blob's bytes.
+  Status GetBlob(ByteReader* blob) {
+    uint32_t len = 0;
+    if (Status s = GetU32(&len); !s.ok()) {
+      return s;
+    }
+    return GetBytes(len, blob);
+  }
+
   size_t remaining() const { return size_ - pos_; }
+
+  // Every byte the reader spans, whatever has been read: for a GetBlob/GetBytes reader, the
+  // blob itself.
+  std::span<const uint8_t> bytes() const { return {data_, size_}; }
 
   // A restored payload must be consumed exactly: trailing garbage means the frame was not
   // what the serializer wrote, and that is loss, not tolerance.
@@ -140,8 +180,8 @@ class ByteReader {
   }
 
  private:
-  const uint8_t* data_;
-  size_t size_;
+  const uint8_t* data_ = nullptr;
+  size_t size_ = 0;
   size_t pos_ = 0;
 };
 

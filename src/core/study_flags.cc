@@ -1,11 +1,15 @@
 #include "src/core/study_flags.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <string>
 #include <type_traits>
 #include <utility>
 #include <variant>
+
+#include "src/common/wire.h"
 
 namespace mercurial {
 namespace {
@@ -228,6 +232,37 @@ Status StudyOptionsFromFlags(const FlagSet& flags, StudyOptions* out) {
   }
   *out = std::move(options);
   return Status::Ok();
+}
+
+std::vector<uint8_t> EncodeArgvManifest(int argc, const char* const* argv) {
+  std::vector<uint8_t> bytes;
+  ByteWriter w(bytes);
+  w.PutU32(static_cast<uint32_t>(argc));
+  for (int i = 0; i < argc; ++i) {
+    w.PutBlob({reinterpret_cast<const uint8_t*>(argv[i]), std::strlen(argv[i])});
+  }
+  return bytes;
+}
+
+Status DecodeArgvManifest(const std::vector<uint8_t>& bytes, std::vector<std::string>* out) {
+  ByteReader r(bytes.data(), bytes.size());
+  uint32_t count = 0;
+  if (Status s = r.GetU32(&count); !s.ok()) {
+    return s;
+  }
+  out->clear();
+  for (uint32_t i = 0; i < count; ++i) {
+    ByteReader arg;
+    if (Status s = r.GetBlob(&arg); !s.ok()) {
+      return s;
+    }
+    const std::span<const uint8_t> chars = arg.bytes();
+    if (std::find(chars.begin(), chars.end(), 0) != chars.end()) {
+      return DataLossError("manifest argv entry holds a NUL byte");
+    }
+    out->emplace_back(chars.begin(), chars.end());
+  }
+  return r.ExpectEnd();
 }
 
 }  // namespace mercurial

@@ -6,6 +6,10 @@
 #ifndef MERCURIAL_SRC_CORE_STUDY_FLAGS_H_
 #define MERCURIAL_SRC_CORE_STUDY_FLAGS_H_
 
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include "src/common/flags.h"
 #include "src/common/status.h"
 #include "src/core/fleet_study.h"
@@ -25,6 +29,15 @@ void DefineStudyOptionFlags(FlagSet& flags, StudyOptions defaults = CliStudyDefa
 // is not finite or whose seconds overflow int64. Negative counts are refused by the flag parser.
 // Range checks on the options themselves are StudyOptions::Validate()'s.
 Status StudyOptionsFromFlags(const FlagSet& flags, StudyOptions* out);
+
+// The journal manifest `mercurialctl study` records: its own argv, as a u32 count and one
+// length-prefixed blob per argument — enough for `recover` to rebuild and re-run the exact
+// invocation that wrote the journal.
+std::vector<uint8_t> EncodeArgvManifest(int argc, const char* const* argv);
+
+// Inverse of EncodeArgvManifest. Returns DATA_LOSS unless `bytes` is exactly one argv record:
+// truncated, with trailing bytes, or with an argument holding a NUL byte (no C string does).
+Status DecodeArgvManifest(const std::vector<uint8_t>& bytes, std::vector<std::string>* out);
 
 }  // namespace mercurial
 

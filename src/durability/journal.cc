@@ -13,9 +13,8 @@ namespace {
 
 constexpr uint32_t kJournalMagic = 0x4c4a434d;  // "MCJL"
 constexpr uint32_t kJournalVersion = 1;
-// u32 payload_len + u8 type + u64 tick before the payload, u32 crc after it.
+// u32 payload_len + u8 type + u64 tick before the payload (the CRC covers them too).
 constexpr size_t kFramePrefixBytes = 4 + 1 + 8;
-constexpr size_t kFrameOverheadBytes = kFramePrefixBytes + 4;
 
 bool ValidFrameType(uint8_t type) {
   return type == static_cast<uint8_t>(JournalFrameType::kHeader) ||
@@ -24,73 +23,113 @@ bool ValidFrameType(uint8_t type) {
          type == static_cast<uint8_t>(JournalFrameType::kTickDelta);
 }
 
+// One frame of a journal image's durable prefix.
+struct JournalFrame {
+  JournalFrameType type = JournalFrameType::kHeader;
+  uint64_t tick = 0;
+  ByteReader payload;
+  size_t end = 0;  // offset one past the CRC
+};
+
+struct JournalScan {
+  std::vector<JournalFrame> frames;  // the durable prefix
+  size_t snapshot = 0;               // index of the latest snapshot frame
+  bool torn_tail = false;            // scan ended by a clipped frame
+  bool corrupt_frame = false;        // scan ended by a CRC/type-invalid frame
+};
+
+// The journal's one frame scanner; InspectJournalImage and Recover() both read images through
+// it, so they accept and refuse exactly the same ones. It trusts the longest prefix of whole,
+// CRC-valid frames of a known type, then refuses with DATA_LOSS a prefix that breaks the
+// structure the writer always produces: a header with the right magic and version first, at
+// least one snapshot, and only tick frames after the latest snapshot. The payloads of the
+// returned frames point into `image`.
+StatusOr<JournalScan> ScanJournal(const std::vector<uint8_t>& image) {
+  JournalScan scan;
+  ByteReader r(image.data(), image.size());
+  while (r.remaining() > 0) {
+    const size_t begin = image.size() - r.remaining();
+    JournalFrame frame;
+    uint32_t payload_len = 0;
+    uint8_t type = 0;
+    uint32_t stored_crc = 0;
+    if (!r.GetU32(&payload_len).ok() || !r.GetU8(&type).ok() || !r.GetU64(&frame.tick).ok() ||
+        !r.GetBytes(payload_len, &frame.payload).ok() || !r.GetU32(&stored_crc).ok()) {
+      // A clipped body and a bit flip in the length word are indistinguishable here; both end
+      // the durable prefix, classified as a torn tail.
+      scan.torn_tail = true;
+      break;
+    }
+    if (stored_crc != Crc32(image.data() + begin, kFramePrefixBytes + payload_len) ||
+        !ValidFrameType(type)) {
+      scan.corrupt_frame = true;
+      break;
+    }
+    frame.type = static_cast<JournalFrameType>(type);
+    frame.end = image.size() - r.remaining();
+    scan.frames.push_back(frame);
+  }
+
+  if (scan.frames.empty() || scan.frames.front().type != JournalFrameType::kHeader) {
+    return DataLossError("journal has no valid header frame");
+  }
+  ByteReader header = scan.frames.front().payload;
+  uint32_t magic = 0;
+  uint32_t version = 0;
+  if (!header.GetU32(&magic).ok() || !header.GetU32(&version).ok() || !header.ExpectEnd().ok() ||
+      magic != kJournalMagic || version != kJournalVersion) {
+    return DataLossError("journal header magic/version mismatch");
+  }
+  scan.snapshot = scan.frames.size();
+  for (size_t i = scan.frames.size(); i-- > 0;) {
+    if (scan.frames[i].type == JournalFrameType::kSnapshot) {
+      scan.snapshot = i;
+      break;
+    }
+    if (scan.frames[i].type != JournalFrameType::kTickDelta) {
+      return DataLossError("non-tick frame after the latest snapshot");
+    }
+  }
+  if (scan.snapshot == scan.frames.size()) {
+    return DataLossError("journal has no valid snapshot frame");
+  }
+  return scan;
+}
+
+// Reads one unit's PutBlob payload through `load`, which must consume all of it.
+Status LoadBlob(ByteReader& r, const DurabilityManager::LoadFn& load) {
+  ByteReader blob;
+  if (Status s = r.GetBlob(&blob); !s.ok()) {
+    return s;
+  }
+  if (Status s = load(blob); !s.ok()) {
+    return s;
+  }
+  return blob.ExpectEnd();
+}
+
 }  // namespace
 
 StatusOr<JournalImageInfo> InspectJournalImage(const std::vector<uint8_t>& image) {
+  const StatusOr<JournalScan> scan = ScanJournal(image);
+  if (!scan.ok()) {
+    return scan.status();
+  }
   JournalImageInfo info;
-  size_t offset = 0;
-  bool saw_header = false;
-  bool saw_snapshot = false;
-  while (offset < image.size()) {
-    if (image.size() - offset < kFrameOverheadBytes) {
-      info.torn_tail = true;
-      break;
-    }
-    ByteReader prefix(image.data() + offset, kFramePrefixBytes);
-    uint32_t payload_len = 0;
-    uint8_t type = 0;
-    uint64_t tick = 0;
-    MERCURIAL_CHECK(prefix.GetU32(&payload_len).ok());
-    MERCURIAL_CHECK(prefix.GetU8(&type).ok());
-    MERCURIAL_CHECK(prefix.GetU64(&tick).ok());
-    if (image.size() - offset - kFrameOverheadBytes < payload_len) {
-      info.torn_tail = true;
-      break;
-    }
-    const size_t crc_offset = offset + kFramePrefixBytes + payload_len;
-    ByteReader crc_reader(image.data() + crc_offset, 4);
-    uint32_t stored_crc = 0;
-    MERCURIAL_CHECK(crc_reader.GetU32(&stored_crc).ok());
-    if (stored_crc != Crc32(image.data() + offset, kFramePrefixBytes + payload_len) ||
-        !ValidFrameType(type)) {
-      info.corrupt_frame = true;
-      break;
-    }
-    const JournalFrameType frame_type = static_cast<JournalFrameType>(type);
-    if (info.frames == 0) {
-      if (frame_type != JournalFrameType::kHeader) {
-        return DataLossError("journal has no valid header frame");
-      }
-      ByteReader header(image.data() + offset + kFramePrefixBytes, payload_len);
-      uint32_t magic = 0;
-      uint32_t version = 0;
-      if (Status s = header.GetU32(&magic); !s.ok()) return s;
-      if (Status s = header.GetU32(&version); !s.ok()) return s;
-      if (magic != kJournalMagic || version != kJournalVersion) {
-        return DataLossError("journal header magic/version mismatch");
-      }
-      saw_header = true;
-    }
-    if (frame_type == JournalFrameType::kSnapshot) {
-      ++info.snapshots;
-      info.snapshot_tick = tick;
-      saw_snapshot = true;
-    } else if (frame_type == JournalFrameType::kTickDelta) {
-      ++info.tick_frames;
-    } else if (frame_type == JournalFrameType::kManifest) {
-      info.manifest.assign(image.begin() + offset + kFramePrefixBytes,
-                           image.begin() + offset + kFramePrefixBytes + payload_len);
-    }
+  info.torn_tail = scan->torn_tail;
+  info.corrupt_frame = scan->corrupt_frame;
+  for (const JournalFrame& frame : scan->frames) {
     ++info.frames;
-    info.durable_tick = tick;
-    offset = crc_offset + 4;
-    info.durable_prefix_bytes = offset;
-  }
-  if (!saw_header) {
-    return DataLossError("journal has no valid header frame");
-  }
-  if (!saw_snapshot) {
-    return DataLossError("journal has no valid snapshot frame");
+    info.durable_tick = frame.tick;
+    info.durable_prefix_bytes = frame.end;
+    if (frame.type == JournalFrameType::kSnapshot) {
+      ++info.snapshots;
+      info.snapshot_tick = frame.tick;
+    } else if (frame.type == JournalFrameType::kTickDelta) {
+      ++info.tick_frames;
+    } else if (frame.type == JournalFrameType::kManifest) {
+      info.manifest.assign(frame.payload.bytes().begin(), frame.payload.bytes().end());
+    }
   }
   return info;
 }
@@ -127,7 +166,7 @@ void DurabilityManager::AppendFrame(JournalFrameType type, uint64_t tick,
   w.PutU32(static_cast<uint32_t>(payload.size()));
   w.PutU8(static_cast<uint8_t>(type));
   w.PutU64(tick);
-  buffer_.insert(buffer_.end(), payload.begin(), payload.end());
+  w.PutBytes(payload);
   const uint32_t crc = Crc32(buffer_.data() + start, buffer_.size() - start);
   w.PutU32(crc);
   ++stats_.frames_written;
@@ -154,8 +193,7 @@ void DurabilityManager::WriteSnapshot(uint64_t tick) {
     bytes.reserve(unit.last_bytes.size() + 64);
     ByteWriter unit_writer(bytes);
     unit.save(unit_writer);
-    w.PutU32(static_cast<uint32_t>(bytes.size()));
-    payload.insert(payload.end(), bytes.begin(), bytes.end());
+    w.PutBlob(bytes);
     if (unit.is_delta) {
       // The snapshot captures post-tick state; this tick's ops are subsumed by it, so they
       // are drained and discarded — a replay from this snapshot must not re-apply them.
@@ -194,8 +232,7 @@ void DurabilityManager::WriteTickDelta(uint64_t tick) {
   w.PutU32(static_cast<uint32_t>(dirty.size()));
   for (auto& [index, bytes] : dirty) {
     w.PutU32(index);
-    w.PutU32(static_cast<uint32_t>(bytes.size()));
-    payload.insert(payload.end(), bytes.begin(), bytes.end());
+    w.PutBlob(bytes);
     units_[index].last_bytes = std::move(bytes);
   }
   uint32_t delta_count = 0;
@@ -214,8 +251,7 @@ void DurabilityManager::WriteTickDelta(uint64_t tick) {
     ByteWriter ops_writer(ops);
     unit.drain(ops_writer);
     w.PutU32(i);
-    w.PutU32(static_cast<uint32_t>(ops.size()));
-    payload.insert(payload.end(), ops.begin(), ops.end());
+    w.PutBlob(ops);
   }
   AppendFrame(JournalFrameType::kTickDelta, tick, payload);
 }
@@ -255,9 +291,7 @@ uint64_t DurabilityManager::tick_frames_since_snapshot() const {
   return stats_.tick_frames_written - tick_frames_at_last_snapshot_;
 }
 
-Status DurabilityManager::ApplySnapshot(const ScannedFrame& frame,
-                                        uint64_t* tick_frames_before) {
-  ByteReader r(buffer_.data() + frame.payload_begin, frame.payload_len);
+Status DurabilityManager::ApplySnapshot(ByteReader r, uint64_t* tick_frames_before) {
   uint32_t unit_count = 0;
   if (Status s = r.GetU64(tick_frames_before); !s.ok()) {
     return s;
@@ -268,100 +302,46 @@ Status DurabilityManager::ApplySnapshot(const ScannedFrame& frame,
   if (unit_count != units_.size()) {
     return DataLossError("snapshot unit count does not match the registered units");
   }
-  size_t offset = frame.payload_begin + frame.payload_len - r.remaining();
   for (Unit& unit : units_) {
-    uint32_t len = 0;
-    if (Status s = r.GetU32(&len); !s.ok()) {
+    if (Status s = LoadBlob(r, unit.load); !s.ok()) {
       return s;
     }
-    offset += 4;
-    if (len > r.remaining()) {
-      return DataLossError("snapshot unit payload exceeds the frame");
-    }
-    ByteReader unit_reader(buffer_.data() + offset, len);
-    if (Status s = unit.load(unit_reader); !s.ok()) {
-      return s;
-    }
-    if (Status s = unit_reader.ExpectEnd(); !s.ok()) {
-      return s;
-    }
-    // Skip over the unit payload in the frame reader.
-    for (uint32_t skipped = 0; skipped < len; ++skipped) {
-      uint8_t byte = 0;
-      if (Status s = r.GetU8(&byte); !s.ok()) {
-        return s;
-      }
-    }
-    offset += len;
   }
   return r.ExpectEnd();
 }
 
-Status DurabilityManager::ApplyTickDelta(const ScannedFrame& frame) {
-  ByteReader r(buffer_.data() + frame.payload_begin, frame.payload_len);
+Status DurabilityManager::ApplyTickDelta(ByteReader r) {
   uint32_t full_count = 0;
   if (Status s = r.GetU32(&full_count); !s.ok()) {
     return s;
   }
-  size_t offset = frame.payload_begin + (frame.payload_len - r.remaining());
   for (uint32_t i = 0; i < full_count; ++i) {
     uint32_t index = 0;
-    uint32_t len = 0;
-    if (Status s = r.GetU32(&index); !s.ok()) return s;
-    if (Status s = r.GetU32(&len); !s.ok()) return s;
-    offset += 8;
+    if (Status s = r.GetU32(&index); !s.ok()) {
+      return s;
+    }
     if (index >= units_.size() || units_[index].is_delta) {
       return DataLossError("tick frame names an invalid full unit");
     }
-    if (len > r.remaining()) {
-      return DataLossError("tick frame unit payload exceeds the frame");
-    }
-    ByteReader unit_reader(buffer_.data() + offset, len);
-    if (Status s = units_[index].load(unit_reader); !s.ok()) {
+    if (Status s = LoadBlob(r, units_[index].load); !s.ok()) {
       return s;
     }
-    if (Status s = unit_reader.ExpectEnd(); !s.ok()) {
-      return s;
-    }
-    for (uint32_t skipped = 0; skipped < len; ++skipped) {
-      uint8_t byte = 0;
-      if (Status s = r.GetU8(&byte); !s.ok()) {
-        return s;
-      }
-    }
-    offset += len;
   }
   uint32_t delta_count = 0;
   if (Status s = r.GetU32(&delta_count); !s.ok()) {
     return s;
   }
-  offset += 4;
   for (uint32_t i = 0; i < delta_count; ++i) {
     uint32_t index = 0;
-    uint32_t len = 0;
-    if (Status s = r.GetU32(&index); !s.ok()) return s;
-    if (Status s = r.GetU32(&len); !s.ok()) return s;
-    offset += 8;
+    if (Status s = r.GetU32(&index); !s.ok()) {
+      return s;
+    }
     if (index >= units_.size() || !units_[index].is_delta) {
       return DataLossError("tick frame names an invalid delta unit");
     }
-    if (len > r.remaining()) {
-      return DataLossError("tick frame ops payload exceeds the frame");
-    }
-    ByteReader ops_reader(buffer_.data() + offset, len);
-    if (Status s = units_[index].apply(ops_reader); !s.ok()) {
+    if (Status s = LoadBlob(r, units_[index].apply); !s.ok()) {
       return s;
     }
-    if (Status s = ops_reader.ExpectEnd(); !s.ok()) {
-      return s;
-    }
-    for (uint32_t skipped = 0; skipped < len; ++skipped) {
-      uint8_t byte = 0;
-      if (Status s = r.GetU8(&byte); !s.ok()) {
-        return s;
-      }
-    }
-    offset += len;
   }
   return r.ExpectEnd();
 }
@@ -379,80 +359,22 @@ void DurabilityManager::RebuildCaches() {
 }
 
 StatusOr<DurabilityManager::RecoveryResult> DurabilityManager::Recover() {
-  // Scan the longest valid frame prefix. The scan itself mutates nothing; classification of
-  // why it stopped (clean end, torn tail, corrupt frame) feeds the loss accounting.
-  std::vector<ScannedFrame> frames;
-  size_t offset = 0;
-  bool torn = false;
-  bool corrupt = false;
-  while (offset < buffer_.size()) {
-    if (buffer_.size() - offset < kFrameOverheadBytes) {
-      torn = true;
-      break;
-    }
-    ByteReader prefix(buffer_.data() + offset, kFramePrefixBytes);
-    uint32_t payload_len = 0;
-    uint8_t type = 0;
-    uint64_t tick = 0;
-    MERCURIAL_CHECK(prefix.GetU32(&payload_len).ok());
-    MERCURIAL_CHECK(prefix.GetU8(&type).ok());
-    MERCURIAL_CHECK(prefix.GetU64(&tick).ok());
-    if (buffer_.size() - offset - kFrameOverheadBytes < payload_len) {
-      // A clipped body and a bit flip in the length word are indistinguishable here; both end
-      // the durable prefix, classified as a torn tail.
-      torn = true;
-      break;
-    }
-    const size_t crc_offset = offset + kFramePrefixBytes + payload_len;
-    ByteReader crc_reader(buffer_.data() + crc_offset, 4);
-    uint32_t stored_crc = 0;
-    MERCURIAL_CHECK(crc_reader.GetU32(&stored_crc).ok());
-    const uint32_t computed_crc = Crc32(buffer_.data() + offset, kFramePrefixBytes + payload_len);
-    if (stored_crc != computed_crc || !ValidFrameType(type)) {
-      corrupt = true;
-      break;
-    }
-    ScannedFrame frame;
-    frame.type = static_cast<JournalFrameType>(type);
-    frame.tick = tick;
-    frame.payload_begin = offset + kFramePrefixBytes;
-    frame.payload_len = payload_len;
-    frame.frame_end = crc_offset + 4;
-    frames.push_back(frame);
-    offset = frame.frame_end;
+  // The scan itself mutates nothing; why it stopped (clean end, torn tail, corrupt frame)
+  // feeds the loss accounting.
+  StatusOr<JournalScan> scanned = ScanJournal(buffer_);
+  if (!scanned.ok()) {
+    return scanned.status();
   }
-
-  if (frames.empty() || frames.front().type != JournalFrameType::kHeader) {
-    return DataLossError("journal has no valid header frame");
-  }
-  {
-    ByteReader header(buffer_.data() + frames.front().payload_begin, frames.front().payload_len);
-    uint32_t magic = 0;
-    uint32_t version = 0;
-    if (Status s = header.GetU32(&magic); !s.ok()) return s;
-    if (Status s = header.GetU32(&version); !s.ok()) return s;
-    if (magic != kJournalMagic || version != kJournalVersion) {
-      return DataLossError("journal header magic/version mismatch");
-    }
-  }
-
-  // Latest valid snapshot in the prefix wins; tick frames after it replay in order.
-  size_t snapshot_index = frames.size();
-  for (size_t i = frames.size(); i-- > 0;) {
-    if (frames[i].type == JournalFrameType::kSnapshot) {
-      snapshot_index = i;
-      break;
-    }
-  }
-  if (snapshot_index == frames.size()) {
-    return DataLossError("journal has no valid snapshot frame");
-  }
+  const std::vector<JournalFrame>& frames = scanned->frames;
+  const size_t snapshot_index = scanned->snapshot;
+  const bool torn = scanned->torn_tail;
+  const bool corrupt = scanned->corrupt_frame;
 
   // A fresh manager recovering a journal image it did not write (the CLI path) has no write
   // stats; adopt the scanned prefix as the written history so conservation closes with zero
   // truncation attributed to the unknowable physical tail.
   if (stats_.frames_written == 0) {
-    for (const ScannedFrame& frame : frames) {
+    for (const JournalFrame& frame : frames) {
       ++stats_.frames_written;
       if (frame.type == JournalFrameType::kSnapshot) {
         ++stats_.snapshots_written;
@@ -460,7 +382,7 @@ StatusOr<DurabilityManager::RecoveryResult> DurabilityManager::Recover() {
         ++stats_.tick_frames_written;
       }
     }
-    stats_.bytes_written = frames.back().frame_end;
+    stats_.bytes_written = frames.back().end;
     // Mirror EndTick's counting: every snapshot after the initial one replaced (and counted)
     // a due tick frame, so covered-frame math closes with zero truncation attributed to the
     // physically unknowable tail.
@@ -470,32 +392,28 @@ StatusOr<DurabilityManager::RecoveryResult> DurabilityManager::Recover() {
   }
 
   uint64_t tick_frames_before = 0;
-  if (Status s = ApplySnapshot(frames[snapshot_index], &tick_frames_before); !s.ok()) {
+  if (Status s = ApplySnapshot(frames[snapshot_index].payload, &tick_frames_before); !s.ok()) {
     return s;
   }
-  uint64_t replayed = 0;
-  uint64_t durable_tick = frames[snapshot_index].tick;
+  const uint64_t replayed = frames.size() - snapshot_index - 1;
   for (size_t i = snapshot_index + 1; i < frames.size(); ++i) {
-    if (frames[i].type != JournalFrameType::kTickDelta) {
-      return DataLossError("non-tick frame after the recovered snapshot");
-    }
-    if (Status s = ApplyTickDelta(frames[i]); !s.ok()) {
+    if (Status s = ApplyTickDelta(frames[i].payload); !s.ok()) {
       return s;
     }
-    ++replayed;
-    durable_tick = frames[i].tick;
   }
 
   // The snapshot payload's tick_frames_before includes the tick a due snapshot replaced
   // (EndTick counts it before writing), so `covered` is exactly the tick frames written after
-  // this snapshot — replayed ones plus whatever the lost tail carried.
-  MERCURIAL_CHECK_GE(stats_.tick_frames_written, tick_frames_before);
-  const uint64_t covered = stats_.tick_frames_written - tick_frames_before;
-  MERCURIAL_CHECK_GE(covered, replayed);
-  const uint64_t truncated = covered - replayed;
+  // this snapshot — replayed ones plus whatever the lost tail carried. A count that cannot
+  // cover the replayed frames was not written by this journal's history.
+  if (tick_frames_before > stats_.tick_frames_written ||
+      stats_.tick_frames_written - tick_frames_before < replayed) {
+    return DataLossError("snapshot tick-frame count disagrees with the journal");
+  }
+  const uint64_t truncated = stats_.tick_frames_written - tick_frames_before - replayed;
 
   RecoveryResult result;
-  result.durable_tick = durable_tick;
+  result.durable_tick = frames.back().tick;
   result.snapshot_tick = frames[snapshot_index].tick;
   result.frames_replayed = replayed;
   result.frames_truncated = truncated;
@@ -517,17 +435,16 @@ StatusOr<DurabilityManager::RecoveryResult> DurabilityManager::Recover() {
   }
 
   // Manifest: last valid manifest frame in the prefix (there is exactly one in practice).
-  for (const ScannedFrame& frame : frames) {
+  for (const JournalFrame& frame : frames) {
     if (frame.type == JournalFrameType::kManifest) {
-      recovered_manifest_.assign(buffer_.begin() + frame.payload_begin,
-                                 buffer_.begin() + frame.payload_begin + frame.payload_len);
+      recovered_manifest_.assign(frame.payload.bytes().begin(), frame.payload.bytes().end());
     }
   }
 
   // Truncate to the durable prefix: everything after the last valid frame is untrusted. The
   // write cursor continues from here — recovery rewinds the journal as well as the state.
-  buffer_.resize(frames.back().frame_end);
-  last_snapshot_end_ = frames[snapshot_index].frame_end;
+  buffer_.resize(frames.back().end);
+  last_snapshot_end_ = frames[snapshot_index].end;
   tick_frames_at_last_snapshot_ = tick_frames_before;
   // Rewind the written-frame accounting to the durable prefix so post-recovery writes keep
   // conservation exact: frames written past the prefix were just accounted as truncated.

@@ -25,7 +25,12 @@
 // Frame envelope (little-endian): [u32 payload_len][u8 type][u64 tick][payload][u32 crc32],
 // with the CRC covering everything before it (length, type, tick, payload) — the same
 // every-bit-flip-is-DATA_LOSS framing as the checkpoint codec (src/mitigate/checkpoint.cc)
-// and the trace codec (src/telemetry/trace.cc).
+// and the trace codec (src/telemetry/trace.cc), on the same ByteWriter/ByteReader codec
+// (src/common/wire.h). Unit payloads inside snapshot and tick frames are length-prefixed blobs.
+// One frame scanner (ScanJournal in journal.cc) reads every image, for InspectJournalImage and
+// Recover() alike: it keeps the longest prefix of whole, CRC-valid frames of a known type, and
+// refuses with DATA_LOSS a prefix without a valid header first, without a snapshot, or with a
+// frame other than a tick frame after the latest snapshot.
 //
 // Determinism: the manager makes no random draws and writes units in registration order, so
 // journal bytes are a pure function of the study's durable state. Chaos (controller crashes,
@@ -86,8 +91,8 @@ struct JournalImageInfo {
   std::vector<uint8_t> manifest;
 };
 
-// Fails with DATA_LOSS under the same refusal rules as Recover(): no valid header or no valid
-// snapshot means the image proves no durable state at all.
+// Reads the image through the same frame scanner as Recover(), so it refuses with DATA_LOSS
+// exactly the images Recover() refuses for their framing.
 StatusOr<JournalImageInfo> InspectJournalImage(const std::vector<uint8_t>& image);
 
 // Orchestrates durable state for a set of registered units. Units are registered once, in a
@@ -135,8 +140,10 @@ class DurabilityManager {
 
   // Restores the latest valid snapshot within the longest valid frame prefix, replays the
   // tick frames after it, truncates the journal to the durable prefix, and rebuilds the
-  // dirty-detection caches. Fails with DATA_LOSS when no valid header or no valid snapshot
-  // survives — a journal that cannot prove any durable state is refused loudly.
+  // dirty-detection caches. Fails with DATA_LOSS when the frame scanner refuses the image (no
+  // valid header or snapshot survives, or a non-tick frame follows the latest snapshot) or a
+  // unit payload does not decode — a journal that cannot prove its durable state is refused
+  // loudly.
   StatusOr<RecoveryResult> Recover();
 
   // --- Chaos surface (journal_torn_tail / journal_bit_flip) --------------------------------
@@ -173,20 +180,11 @@ class DurabilityManager {
     std::vector<uint8_t> last_bytes;  // full units: last journaled serialization
   };
 
-  // One frame located by the recovery scan.
-  struct ScannedFrame {
-    JournalFrameType type = JournalFrameType::kHeader;
-    uint64_t tick = 0;
-    size_t payload_begin = 0;
-    size_t payload_len = 0;
-    size_t frame_end = 0;  // offset one past the CRC
-  };
-
   void AppendFrame(JournalFrameType type, uint64_t tick, const std::vector<uint8_t>& payload);
   void WriteSnapshot(uint64_t tick);
   void WriteTickDelta(uint64_t tick);
-  Status ApplySnapshot(const ScannedFrame& frame, uint64_t* tick_frames_before);
-  Status ApplyTickDelta(const ScannedFrame& frame);
+  Status ApplySnapshot(ByteReader payload, uint64_t* tick_frames_before);
+  Status ApplyTickDelta(ByteReader payload);
   void RebuildCaches();
   void SyncFile() const;
 

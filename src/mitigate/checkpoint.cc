@@ -1,52 +1,22 @@
 #include "src/mitigate/checkpoint.h"
 
 #include "src/common/logging.h"
+#include "src/common/wire.h"
 #include "src/substrate/checksum.h"
 
 namespace mercurial {
 
-namespace {
-
 constexpr uint32_t kCheckpointMagic = 0x4d434b50;  // "MCKP"
-
-void PutU32(std::vector<uint8_t>& out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<uint8_t>(v >> (8 * i)));
-  }
-}
-
-void PutU64(std::vector<uint8_t>& out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<uint8_t>(v >> (8 * i)));
-  }
-}
-
-uint32_t GetU32(const uint8_t* p) {
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<uint32_t>(p[i]) << (8 * i);
-  }
-  return v;
-}
-
-uint64_t GetU64(const uint8_t* p) {
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<uint64_t>(p[i]) << (8 * i);
-  }
-  return v;
-}
-
-}  // namespace
 
 std::vector<uint8_t> SerializeCheckpoint(uint64_t state, const ProvenanceTag& provenance) {
   std::vector<uint8_t> out;
   out.reserve(kCheckpointFrameBytes);
-  PutU32(out, kCheckpointMagic);
-  PutU64(out, provenance.core_global);
-  PutU64(out, provenance.epoch);
-  PutU64(out, state);
-  PutU32(out, Crc32(out.data(), out.size()));
+  ByteWriter w(out);
+  w.PutU32(kCheckpointMagic);
+  w.PutU64(provenance.core_global);
+  w.PutU64(provenance.epoch);
+  w.PutU64(state);
+  w.PutU32(Crc32(out.data(), out.size()));
   return out;
 }
 
@@ -55,18 +25,26 @@ StatusOr<uint64_t> RestoreCheckpoint(const std::vector<uint8_t>& bytes,
   if (bytes.size() != kCheckpointFrameBytes) {
     return DataLossError("checkpoint frame truncated or oversized");
   }
-  if (GetU32(bytes.data()) != kCheckpointMagic) {
+  ByteReader r(bytes.data(), bytes.size());
+  uint32_t magic = 0;
+  ProvenanceTag tag;
+  uint64_t state = 0;
+  uint32_t stored_crc = 0;
+  if (Status s = r.GetU32(&magic); !s.ok()) return s;
+  if (magic != kCheckpointMagic) {
     return DataLossError("checkpoint frame has bad magic");
   }
-  const uint32_t stored_crc = GetU32(bytes.data() + kCheckpointFrameBytes - 4);
+  if (Status s = r.GetU64(&tag.core_global); !s.ok()) return s;
+  if (Status s = r.GetU64(&tag.epoch); !s.ok()) return s;
+  if (Status s = r.GetU64(&state); !s.ok()) return s;
+  if (Status s = r.GetU32(&stored_crc); !s.ok()) return s;
   if (Crc32(bytes.data(), kCheckpointFrameBytes - 4) != stored_crc) {
     return DataLossError("checkpoint frame failed integrity check");
   }
   if (provenance != nullptr) {
-    provenance->core_global = GetU64(bytes.data() + 4);
-    provenance->epoch = GetU64(bytes.data() + 12);
+    *provenance = tag;
   }
-  return GetU64(bytes.data() + 20);
+  return state;
 }
 
 CheckpointRunner::CheckpointRunner(std::vector<SimCore*> pool) : pool_(std::move(pool)) {

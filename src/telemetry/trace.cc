@@ -1,8 +1,7 @@
 #include "src/telemetry/trace.h"
 
 #include <algorithm>
-#include <cstring>
-#include <limits>
+#include <cstdio>
 
 #include "src/substrate/checksum.h"
 
@@ -12,38 +11,11 @@ namespace {
 // Wire framing: little-endian, fixed layout, CRC over everything that precedes it.
 //   magic u32 | version u32 | shards u32 | event_count u64 | emitted u64 | recorded u64 |
 //   dropped u64 | sampled_out u64 | events (34B each) | crc32 u32
+// The counters and events use the same encoders as the journal's trace-ring payloads.
 constexpr uint32_t kTraceMagic = 0x6d747263;  // "crtm" on disk
 constexpr uint32_t kTraceVersion = 1;
 constexpr size_t kTraceHeaderBytes = 4 + 4 + 4 + 8 + 8 + 8 + 8 + 8;
 constexpr size_t kTraceEventBytes = 8 + 8 + 8 + 1 + 1 + 8;
-
-void PutU32(std::vector<uint8_t>& out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<uint8_t>(v >> (8 * i)));
-  }
-}
-
-void PutU64(std::vector<uint8_t>& out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<uint8_t>(v >> (8 * i)));
-  }
-}
-
-uint32_t GetU32(const uint8_t* p) {
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<uint32_t>(p[i]) << (8 * i);
-  }
-  return v;
-}
-
-uint64_t GetU64(const uint8_t* p) {
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<uint64_t>(p[i]) << (8 * i);
-  }
-  return v;
-}
 
 void AppendJsonEscaped(std::string& out, const char* s) {
   // Kind/cause names are plain identifiers, but escape defensively anyway.
@@ -415,75 +387,51 @@ Status TraceRecorder::LoadDurableState(ByteReader& r) {
 std::vector<uint8_t> SerializeTrace(const IncidentTrace& trace) {
   std::vector<uint8_t> out;
   out.reserve(kTraceHeaderBytes + trace.events.size() * kTraceEventBytes + 4);
-  PutU32(out, kTraceMagic);
-  PutU32(out, kTraceVersion);
-  PutU32(out, trace.shards);
-  PutU64(out, trace.events.size());
-  PutU64(out, trace.counters.events_emitted);
-  PutU64(out, trace.counters.events_recorded);
-  PutU64(out, trace.counters.events_dropped);
-  PutU64(out, trace.counters.events_sampled_out);
+  ByteWriter w(out);
+  w.PutU32(kTraceMagic);
+  w.PutU32(kTraceVersion);
+  w.PutU32(trace.shards);
+  w.PutU64(trace.events.size());
+  PutTraceCountersWire(w, trace.counters);
   for (const TraceEvent& event : trace.events) {
-    PutU64(out, static_cast<uint64_t>(event.time_seconds));
-    PutU64(out, event.core);
-    PutU64(out, event.epoch);
-    out.push_back(static_cast<uint8_t>(event.kind));
-    out.push_back(static_cast<uint8_t>(event.cause));
-    PutU64(out, event.detail);
+    PutTraceEventWire(w, event);
   }
-  PutU32(out, Crc32(out.data(), out.size()));
+  w.PutU32(Crc32(out.data(), out.size()));
   return out;
 }
 
 StatusOr<IncidentTrace> ParseTrace(const std::vector<uint8_t>& bytes) {
-  if (bytes.size() < kTraceHeaderBytes + 4) {
-    return DataLossError("trace frame truncated: shorter than header + checksum");
-  }
-  const uint8_t* p = bytes.data();
-  if (GetU32(p) != kTraceMagic) {
+  ByteReader r(bytes.data(), bytes.size());
+  uint32_t magic = 0;
+  uint32_t version = 0;
+  uint64_t event_count = 0;
+  IncidentTrace trace;
+  if (Status s = r.GetU32(&magic); !s.ok()) return s;
+  if (magic != kTraceMagic) {
     return DataLossError("trace frame corrupt: bad magic");
   }
-  if (GetU32(p + 4) != kTraceVersion) {
+  if (Status s = r.GetU32(&version); !s.ok()) return s;
+  if (version != kTraceVersion) {
     return DataLossError("trace frame corrupt: unsupported version");
   }
-  const uint64_t event_count = GetU64(p + 12);
-  const uint64_t max_events =
-      (std::numeric_limits<size_t>::max() - kTraceHeaderBytes - 4) / kTraceEventBytes;
-  if (event_count > max_events) {
-    return DataLossError("trace frame corrupt: implausible event count");
-  }
-  const size_t expected =
-      kTraceHeaderBytes + static_cast<size_t>(event_count) * kTraceEventBytes + 4;
-  if (bytes.size() != expected) {
+  if (Status s = r.GetU32(&trace.shards); !s.ok()) return s;
+  if (Status s = r.GetU64(&event_count); !s.ok()) return s;
+  if (Status s = GetTraceCountersWire(r, &trace.counters); !s.ok()) return s;
+  // Bounds the count before it sizes anything: exactly the events and the CRC must remain.
+  if (event_count > r.remaining() / kTraceEventBytes ||
+      r.remaining() != event_count * kTraceEventBytes + 4) {
     return DataLossError("trace frame corrupt: size does not match event count");
   }
-  const uint32_t stored_crc = GetU32(p + bytes.size() - 4);
-  if (Crc32(p, bytes.size() - 4) != stored_crc) {
+  ByteReader events;
+  uint32_t stored_crc = 0;
+  if (Status s = r.GetBytes(event_count * kTraceEventBytes, &events); !s.ok()) return s;
+  if (Status s = r.GetU32(&stored_crc); !s.ok()) return s;
+  if (Crc32(bytes.data(), bytes.size() - 4) != stored_crc) {
     return DataLossError("trace frame corrupt: checksum mismatch");
   }
-
-  IncidentTrace trace;
-  trace.shards = GetU32(p + 8);
-  trace.counters.events_emitted = GetU64(p + 20);
-  trace.counters.events_recorded = GetU64(p + 28);
-  trace.counters.events_dropped = GetU64(p + 36);
-  trace.counters.events_sampled_out = GetU64(p + 44);
-  trace.events.reserve(static_cast<size_t>(event_count));
-  const uint8_t* q = p + kTraceHeaderBytes;
-  for (uint64_t i = 0; i < event_count; ++i, q += kTraceEventBytes) {
-    TraceEvent event;
-    event.time_seconds = static_cast<int64_t>(GetU64(q));
-    event.core = GetU64(q + 8);
-    event.epoch = GetU64(q + 16);
-    const uint8_t kind = q[24];
-    const uint8_t cause = q[25];
-    if (kind >= kTraceEventKindCount || cause >= kTraceCauseCount) {
-      return DataLossError("trace frame corrupt: unknown event kind or cause");
-    }
-    event.kind = static_cast<TraceEventKind>(kind);
-    event.cause = static_cast<TraceCause>(cause);
-    event.detail = GetU64(q + 26);
-    trace.events.push_back(event);
+  trace.events.resize(event_count);
+  for (TraceEvent& event : trace.events) {
+    if (Status s = GetTraceEventWire(events, &event); !s.ok()) return s;
   }
   return trace;
 }

@@ -9,6 +9,7 @@
 // tick, never a blend, never garbage.
 
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -17,6 +18,7 @@
 #include "src/common/wire.h"
 #include "src/core/fleet_study.h"
 #include "src/durability/journal.h"
+#include "src/substrate/checksum.h"
 
 namespace mercurial {
 namespace {
@@ -292,6 +294,69 @@ TEST(DurabilityTest, FreshManagerRecoversAJournalImageAndItsManifest) {
   EXPECT_EQ(log.entries, after[6].log);
   EXPECT_EQ(reader.recovered_manifest(), manifest);
   EXPECT_TRUE(reader.started()) << "a recovered manager can keep journaling";
+}
+
+// The journal a toy writer leaves after `ticks` ticks.
+std::vector<uint8_t> ToyJournalImage(uint64_t ticks, const std::vector<uint8_t>& manifest) {
+  ToyRegister reg;
+  ToyLog log;
+  DurabilityManager writer(DurabilityManager::Options{});
+  RegisterToyUnits(writer, reg, log);
+  EXPECT_TRUE(writer.Start(0, manifest).ok());
+  DriveTicks(writer, reg, log, ticks);
+  return writer.buffer();
+}
+
+// Recover() of `image` on a fresh manager, as the CLI path would run it.
+Status RecoverToyImage(std::vector<uint8_t> image) {
+  ToyRegister reg;
+  ToyLog log;
+  DurabilityManager reader(DurabilityManager::Options{});
+  RegisterToyUnits(reader, reg, log);
+  reader.ReplaceBuffer(std::move(image));
+  return reader.Recover().status();
+}
+
+TEST(DurabilityTest, InspectAndRecoverRefuseANonTickFrameAfterTheLatestSnapshot) {
+  // A second manifest frame with a valid CRC after the latest snapshot: the writer never
+  // produces one, so the image is not a journal. Inspect (the CLI's first look) must refuse it
+  // exactly as Recover() does, not report a durable prefix that recovery would then reject.
+  std::vector<uint8_t> image = ToyJournalImage(3, {'a', 'r', 'g', 'v'});
+  const size_t frame_start = image.size();
+  ByteWriter w(image);
+  w.PutU32(2);  // payload_len
+  w.PutU8(static_cast<uint8_t>(JournalFrameType::kManifest));
+  w.PutU64(3);  // tick
+  w.PutBytes(std::vector<uint8_t>{'x', 'y'});
+  w.PutU32(Crc32(image.data() + frame_start, image.size() - frame_start));
+
+  EXPECT_EQ(InspectJournalImage(image).status().code(), StatusCode::kDataLoss);
+  EXPECT_EQ(RecoverToyImage(image).code(), StatusCode::kDataLoss);
+}
+
+TEST(DurabilityTest, SnapshotTickCountBeyondTheJournalIsDataLoss) {
+  // A validly CRC'd snapshot that claims more tick frames before it than the journal holds
+  // cannot close the conservation books: a fresh manager refuses it, it does not abort.
+  std::vector<uint8_t> image = ToyJournalImage(2, {});
+  // Frames are [u32 payload_len][u8 type][u64 tick][payload][u32 crc]; the header and manifest
+  // come first, and a snapshot payload starts with the u64 tick_frames_before.
+  const auto payload_len_at = [&image](size_t frame) {
+    uint32_t len = 0;
+    EXPECT_TRUE(ByteReader(image.data() + frame, 4).GetU32(&len).ok());
+    return len;
+  };
+  size_t snapshot = 0;
+  for (int frame = 0; frame < 2; ++frame) {
+    snapshot += 4 + 1 + 8 + payload_len_at(snapshot) + 4;
+  }
+  ASSERT_EQ(image[snapshot + 4], static_cast<uint8_t>(JournalFrameType::kSnapshot));
+  image[snapshot + 13 + 7] = 0x7f;  // top byte of tick_frames_before
+  const size_t crc_at = snapshot + 13 + payload_len_at(snapshot);
+  const uint32_t crc = Crc32(image.data() + snapshot, crc_at - snapshot);
+  std::memcpy(image.data() + crc_at, &crc, 4);
+  ASSERT_TRUE(InspectJournalImage(image).ok()) << "the framing itself is valid";
+
+  EXPECT_EQ(RecoverToyImage(image).code(), StatusCode::kDataLoss);
 }
 
 // --- Study-level recovery accounting regressions -----------------------------------------------

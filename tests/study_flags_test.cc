@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/wire.h"
 #include "studybench/src/workloads.h"
 
 namespace mercurial {
@@ -167,6 +168,60 @@ TEST(StudyOptionsValidateTest, ZeroDurationAndThreadsAboveShardsStayLegal) {
   options.shards = 4;
   options.threads = 64;
   EXPECT_TRUE(options.Validate().ok());
+}
+
+// The argv manifest a journal records for `recover`.
+const char* const kManifestArgv[] = {"mercurialctl", "study", "--machines=60", "", "--seed=7"};
+constexpr int kManifestArgc = 5;
+
+TEST(ArgvManifestTest, RoundTrips) {
+  const std::vector<uint8_t> bytes = EncodeArgvManifest(kManifestArgc, kManifestArgv);
+  std::vector<std::string> decoded;
+  ASSERT_TRUE(DecodeArgvManifest(bytes, &decoded).ok());
+  EXPECT_EQ(decoded, std::vector<std::string>(kManifestArgv, kManifestArgv + kManifestArgc));
+
+  ASSERT_TRUE(DecodeArgvManifest(EncodeArgvManifest(0, nullptr), &decoded).ok());
+  EXPECT_TRUE(decoded.empty());
+}
+
+TEST(ArgvManifestTest, EveryTruncationIsDataLoss) {
+  const std::vector<uint8_t> bytes = EncodeArgvManifest(kManifestArgc, kManifestArgv);
+  for (size_t len = 0; len < bytes.size(); ++len) {
+    std::vector<std::string> decoded;
+    const std::vector<uint8_t> clipped(bytes.begin(), bytes.begin() + len);
+    EXPECT_EQ(DecodeArgvManifest(clipped, &decoded).code(), StatusCode::kDataLoss) << len;
+  }
+}
+
+TEST(ArgvManifestTest, TrailingByteIsDataLoss) {
+  std::vector<uint8_t> bytes = EncodeArgvManifest(kManifestArgc, kManifestArgv);
+  bytes.push_back(0);
+  std::vector<std::string> decoded;
+  EXPECT_EQ(DecodeArgvManifest(bytes, &decoded).code(), StatusCode::kDataLoss);
+}
+
+TEST(ArgvManifestTest, EntryLengthBeyondThePayloadIsDataLoss) {
+  std::vector<uint8_t> bytes;
+  ByteWriter w(bytes);
+  w.PutU32(1);
+  w.PutU32(100);  // the entry claims 100 bytes; 3 follow
+  w.PutBytes(std::vector<uint8_t>{'a', 'b', 'c'});
+  std::vector<std::string> decoded;
+  EXPECT_EQ(DecodeArgvManifest(bytes, &decoded).code(), StatusCode::kDataLoss);
+
+  // The largest u32 length must not wrap the bounds check.
+  bytes.assign({1, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 'a'});
+  EXPECT_EQ(DecodeArgvManifest(bytes, &decoded).code(), StatusCode::kDataLoss);
+}
+
+TEST(ArgvManifestTest, EntryHoldingANulByteIsDataLoss) {
+  // No C string holds a NUL, so such an entry could not re-encode to the same bytes.
+  std::vector<uint8_t> bytes;
+  ByteWriter w(bytes);
+  w.PutU32(1);
+  w.PutBlob(std::vector<uint8_t>{'a', 0, 'b'});
+  std::vector<std::string> decoded;
+  EXPECT_EQ(DecodeArgvManifest(bytes, &decoded).code(), StatusCode::kDataLoss);
 }
 
 }  // namespace

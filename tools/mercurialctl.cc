@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "src/common/flags.h"
-#include "src/common/wire.h"
 #include "src/core/fleet_study.h"
 #include "src/core/study_flags.h"
 #include "src/core/tradeoff.h"
@@ -184,49 +183,6 @@ Status ParseStudyInvocation(int argc, const char* const* argv, FlagSet& flags,
     status = StudyOptionsFromFlags(flags, options);
   }
   return status.ok() ? options->Validate() : status;
-}
-
-// The journal manifest is the study's own argv — [u32 count][u32 len + bytes]* — enough for
-// `recover` to rebuild and deterministically re-run the exact invocation that wrote it.
-std::vector<uint8_t> EncodeArgvManifest(int argc, const char* const* argv) {
-  std::vector<uint8_t> bytes;
-  ByteWriter w(bytes);
-  w.PutU32(static_cast<uint32_t>(argc));
-  for (int i = 0; i < argc; ++i) {
-    const size_t len = std::strlen(argv[i]);
-    w.PutU32(static_cast<uint32_t>(len));
-    bytes.insert(bytes.end(), argv[i], argv[i] + len);
-  }
-  return bytes;
-}
-
-Status DecodeArgvManifest(const std::vector<uint8_t>& bytes, std::vector<std::string>* out) {
-  ByteReader r(bytes.data(), bytes.size());
-  uint32_t count = 0;
-  if (Status s = r.GetU32(&count); !s.ok()) {
-    return s;
-  }
-  out->clear();
-  size_t offset = 4;
-  for (uint32_t i = 0; i < count; ++i) {
-    uint32_t len = 0;
-    if (Status s = r.GetU32(&len); !s.ok()) {
-      return s;
-    }
-    offset += 4;
-    if (len > r.remaining()) {
-      return DataLossError("manifest argv entry exceeds the payload");
-    }
-    out->emplace_back(reinterpret_cast<const char*>(bytes.data() + offset), len);
-    for (uint32_t skipped = 0; skipped < len; ++skipped) {
-      uint8_t byte = 0;
-      if (Status s = r.GetU8(&byte); !s.ok()) {
-        return s;
-      }
-    }
-    offset += len;
-  }
-  return r.ExpectEnd();
 }
 
 void PrintDurabilitySection(const DurabilityStats& d) {
