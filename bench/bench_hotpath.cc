@@ -11,6 +11,9 @@
 //     per-unit ops must match exactly — the cache must be RNG-stream neutral).
 //   * end_to_end  — work-units/sec of a whole FleetStudy (production + screening +
 //     quarantine), fast path vs reference, single-threaded so the ratio isolates the cache.
+//   * aes         — ns per block of the table-driven AesEncryptBlock and AesDecryptBlock (one
+//     block per kAesRounds of --ops), checked against the FIPS-197 Appendix B known answer
+//     and an encrypt-chain/decrypt-chain round trip.
 //   * tracing     — upper bound on the incident flight recorder's cost when disabled, measured
 //     as study wall time with tracing off vs an enabled-but-fully-sampled-out shadow recorder;
 //     --max-trace-overhead-pct turns the bound into a CI gate.
@@ -21,7 +24,8 @@
 //
 // Output: human-readable table on stdout plus a JSON artifact. Exit code 2 if the fast and
 // reference paths diverge in any counter (a stream-neutrality bug), 3 if the tracing overhead
-// bound exceeds --max-trace-overhead-pct, 0 otherwise.
+// bound exceeds --max-trace-overhead-pct, 4 if the AES known answer or round trip fails, 0
+// otherwise.
 
 #include <algorithm>
 #include <chrono>
@@ -33,6 +37,7 @@
 #include "src/common/rng.h"
 #include "src/core/fleet_study.h"
 #include "src/sim/core.h"
+#include "src/substrate/aes.h"
 
 using namespace mercurial;
 
@@ -139,6 +144,45 @@ DispatchResult RunDispatch(uint64_t ops, uint64_t seed, bool fast_path) {
   return result;
 }
 
+struct AesResult {
+  double encrypt_ns_per_block = 0.0;
+  double decrypt_ns_per_block = 0.0;
+  bool known_answer_ok = false;
+  bool round_trip_ok = false;
+};
+
+// Encrypts a chain of `blocks` blocks (each ciphertext is the next plaintext, so no call can be
+// skipped), then decrypts the chain back to the start.
+AesResult RunAes(uint64_t blocks) {
+  // FIPS-197 Appendix B.
+  const uint8_t key[kAesKeyBytes] = {0x2b, 0x7e, 0x15, 0x16, 0x28, 0xae, 0xd2, 0xa6,
+                                     0xab, 0xf7, 0x15, 0x88, 0x09, 0xcf, 0x4f, 0x3c};
+  const AesBlock plaintext = {0x32, 0x43, 0xf6, 0xa8, 0x88, 0x5a, 0x30, 0x8d,
+                              0x31, 0x31, 0x98, 0xa2, 0xe0, 0x37, 0x07, 0x34};
+  const AesBlock ciphertext = {0x39, 0x25, 0x84, 0x1d, 0x02, 0xdc, 0x09, 0xfb,
+                               0xdc, 0x11, 0x85, 0x97, 0x19, 0x6a, 0x0b, 0x32};
+  const AesKeySchedule schedule = ExpandAesKey(key);
+  AesResult result;
+  result.known_answer_ok = AesEncryptBlock(schedule, plaintext) == ciphertext &&
+                           AesDecryptBlock(schedule, ciphertext) == plaintext;
+
+  AesBlock block = plaintext;
+  const auto start = std::chrono::steady_clock::now();
+  for (uint64_t i = 0; i < blocks; ++i) {
+    block = AesEncryptBlock(schedule, block);
+  }
+  const auto middle = std::chrono::steady_clock::now();
+  for (uint64_t i = 0; i < blocks; ++i) {
+    block = AesDecryptBlock(schedule, block);
+  }
+  const auto stop = std::chrono::steady_clock::now();
+  const double n = static_cast<double>(std::max<uint64_t>(blocks, 1));
+  result.encrypt_ns_per_block = std::chrono::duration<double, std::nano>(middle - start).count() / n;
+  result.decrypt_ns_per_block = std::chrono::duration<double, std::nano>(stop - middle).count() / n;
+  result.round_trip_ok = block == plaintext;
+  return result;
+}
+
 struct StudyResult {
   double seconds = 0.0;
   uint64_t work_units = 0;
@@ -222,6 +266,28 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(fast.corruptions),
               static_cast<unsigned long long>(fast.machine_checks),
               counters_match ? "yes" : "NO — BUG");
+
+  // --- aes -----------------------------------------------------------------------------------
+  const uint64_t aes_blocks = ops / kAesRounds;
+  std::vector<double> aes_enc_ns;
+  std::vector<double> aes_dec_ns;
+  bool aes_ok = true;
+  for (int r = 0; r < repeats; ++r) {
+    const AesResult aes = RunAes(aes_blocks);
+    aes_enc_ns.push_back(aes.encrypt_ns_per_block);
+    aes_dec_ns.push_back(aes.decrypt_ns_per_block);
+    aes_ok = aes_ok && aes.known_answer_ok && aes.round_trip_ok;
+  }
+  const double aes_enc_ns_per_block = MedianSeconds(aes_enc_ns);
+  const double aes_dec_ns_per_block = MedianSeconds(aes_dec_ns);
+
+  std::printf("# hotpath — aes: %llu chained blocks, median of %d\n",
+              static_cast<unsigned long long>(aes_blocks), repeats);
+  std::printf("%-24s %12s\n", "config", "ns/block");
+  std::printf("%-24s %12.1f\n", "AesEncryptBlock", aes_enc_ns_per_block);
+  std::printf("%-24s %12.1f\n", "AesDecryptBlock", aes_dec_ns_per_block);
+  std::printf("# FIPS-197 Appendix B known answer and round trip: %s\n",
+              aes_ok ? "ok" : "MISMATCH — BUG");
 
   // --- end_to_end ----------------------------------------------------------------------------
   std::vector<double> study_ref_times;
@@ -307,6 +373,12 @@ int main(int argc, char** argv) {
     std::fprintf(f, "    \"speedup\": %.4f,\n", ref_s / fast_s);
     std::fprintf(f, "    \"counters_bit_identical\": %s\n", counters_match ? "true" : "false");
     std::fprintf(f, "  },\n");
+    std::fprintf(f, "  \"aes\": {\n");
+    std::fprintf(f, "    \"blocks\": %llu,\n", static_cast<unsigned long long>(aes_blocks));
+    std::fprintf(f, "    \"encrypt_ns_per_block\": %.2f,\n", aes_enc_ns_per_block);
+    std::fprintf(f, "    \"decrypt_ns_per_block\": %.2f,\n", aes_dec_ns_per_block);
+    std::fprintf(f, "    \"known_answer_ok\": %s\n", aes_ok ? "true" : "false");
+    std::fprintf(f, "  },\n");
     std::fprintf(f, "  \"end_to_end\": {\n");
     std::fprintf(f, "    \"machines\": %zu,\n", machines);
     std::fprintf(f, "    \"days\": %d,\n", days);
@@ -333,6 +405,9 @@ int main(int argc, char** argv) {
   }
   if (!(counters_match && study_match)) {
     return 2;
+  }
+  if (!aes_ok) {
+    return 4;
   }
   return trace_overhead_ok ? 0 : 3;
 }

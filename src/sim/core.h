@@ -51,6 +51,10 @@ struct CoreCounters {
   uint64_t machine_checks = 0;   // firings escalated to machine checks
 
   uint64_t TotalOps() const;
+  // Defect firings of either kind. Every path that changes a micro-op's result or raises a
+  // machine check bumps one of the two counters, so a computation across which Fires() did
+  // not move produced exactly the healthy result (golden elision, DESIGN.md).
+  uint64_t Fires() const { return corruptions + machine_checks; }
 };
 
 class SimCore {

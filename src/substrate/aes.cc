@@ -1,5 +1,7 @@
 #include "src/substrate/aes.h"
 
+#include <algorithm>
+#include <bit>
 #include <cstring>
 
 #include "src/common/logging.h"
@@ -27,87 +29,11 @@ constexpr uint8_t kSbox[256] = {
     0x8c, 0xa1, 0x89, 0x0d, 0xbf, 0xe6, 0x42, 0x68, 0x41, 0x99, 0x2d, 0x0f, 0xb0, 0x54, 0xbb,
     0x16};
 
-struct InvSboxTable {
-  uint8_t table[256];
-  InvSboxTable() {
-    for (int i = 0; i < 256; ++i) {
-      table[kSbox[i]] = static_cast<uint8_t>(i);
-    }
-  }
-};
-
-const InvSboxTable kInvSbox;
-
-// Column-major state indexing to match FIPS-197: state[r + 4*c].
-inline uint8_t XTime(uint8_t x) {
+constexpr uint8_t XTime(uint8_t x) {
   return static_cast<uint8_t>((x << 1) ^ ((x & 0x80) ? 0x1b : 0x00));
 }
 
-void SubBytes(AesBlock& s) {
-  for (auto& b : s) {
-    b = kSbox[b];
-  }
-}
-
-void InvSubBytes(AesBlock& s) {
-  for (auto& b : s) {
-    b = kInvSbox.table[b];
-  }
-}
-
-void ShiftRows(AesBlock& s) {
-  AesBlock t = s;
-  for (int r = 1; r < 4; ++r) {
-    for (int c = 0; c < 4; ++c) {
-      s[r + 4 * c] = t[r + 4 * ((c + r) % 4)];
-    }
-  }
-}
-
-void InvShiftRows(AesBlock& s) {
-  AesBlock t = s;
-  for (int r = 1; r < 4; ++r) {
-    for (int c = 0; c < 4; ++c) {
-      s[r + 4 * ((c + r) % 4)] = t[r + 4 * c];
-    }
-  }
-}
-
-void MixColumns(AesBlock& s) {
-  for (int c = 0; c < 4; ++c) {
-    uint8_t* col = &s[4 * c];
-    const uint8_t a0 = col[0], a1 = col[1], a2 = col[2], a3 = col[3];
-    col[0] = static_cast<uint8_t>(XTime(a0) ^ (XTime(a1) ^ a1) ^ a2 ^ a3);
-    col[1] = static_cast<uint8_t>(a0 ^ XTime(a1) ^ (XTime(a2) ^ a2) ^ a3);
-    col[2] = static_cast<uint8_t>(a0 ^ a1 ^ XTime(a2) ^ (XTime(a3) ^ a3));
-    col[3] = static_cast<uint8_t>((XTime(a0) ^ a0) ^ a1 ^ a2 ^ XTime(a3));
-  }
-}
-
-void InvMixColumns(AesBlock& s) {
-  for (int c = 0; c < 4; ++c) {
-    uint8_t* col = &s[4 * c];
-    const uint8_t a0 = col[0], a1 = col[1], a2 = col[2], a3 = col[3];
-    col[0] = static_cast<uint8_t>(AesGfMul(a0, 0x0e) ^ AesGfMul(a1, 0x0b) ^ AesGfMul(a2, 0x0d) ^
-                                  AesGfMul(a3, 0x09));
-    col[1] = static_cast<uint8_t>(AesGfMul(a0, 0x09) ^ AesGfMul(a1, 0x0e) ^ AesGfMul(a2, 0x0b) ^
-                                  AesGfMul(a3, 0x0d));
-    col[2] = static_cast<uint8_t>(AesGfMul(a0, 0x0d) ^ AesGfMul(a1, 0x09) ^ AesGfMul(a2, 0x0e) ^
-                                  AesGfMul(a3, 0x0b));
-    col[3] = static_cast<uint8_t>(AesGfMul(a0, 0x0b) ^ AesGfMul(a1, 0x0d) ^ AesGfMul(a2, 0x09) ^
-                                  AesGfMul(a3, 0x0e));
-  }
-}
-
-void AddRoundKey(AesBlock& s, const AesBlock& k) {
-  for (size_t i = 0; i < kAesBlockBytes; ++i) {
-    s[i] ^= k[i];
-  }
-}
-
-}  // namespace
-
-uint8_t AesGfMul(uint8_t a, uint8_t b) {
+constexpr uint8_t GfMul(uint8_t a, uint8_t b) {
   uint8_t result = 0;
   while (b != 0) {
     if (b & 1) {
@@ -119,8 +45,69 @@ uint8_t AesGfMul(uint8_t a, uint8_t b) {
   return result;
 }
 
+constexpr std::array<uint8_t, 256> MakeInvSbox() {
+  std::array<uint8_t, 256> inv{};
+  for (int i = 0; i < 256; ++i) {
+    inv[kSbox[i]] = static_cast<uint8_t>(i);
+  }
+  return inv;
+}
+
+constexpr std::array<uint8_t, 256> kInvSbox = MakeInvSbox();
+
+// A state column packs its four bytes little-endian: row r of column c (state[r + 4*c],
+// FIPS-197's column-major layout) is bits [8r, 8r + 8) of the column word.
+using RoundTables = std::array<std::array<uint32_t, 256>, 4>;
+
+// tables[r][x] is what input byte x in row r adds to the output column of a MixColumns-style
+// matrix product: x times the matrix's column r, which is `coefficients` (its column 0)
+// rotated down by r rows. MixColumns' column 0 is (2, 1, 1, 3) and InvMixColumns' is
+// (e, 9, d, b). With `sbox`, x passes through it first, folding SubBytes into the lookup.
+constexpr RoundTables MakeRoundTables(std::array<uint8_t, 4> coefficients, const uint8_t* sbox) {
+  RoundTables tables{};
+  for (int x = 0; x < 256; ++x) {
+    const uint8_t v = sbox != nullptr ? sbox[x] : static_cast<uint8_t>(x);
+    uint32_t column = 0;
+    for (int r = 0; r < 4; ++r) {
+      column |= static_cast<uint32_t>(GfMul(v, coefficients[r])) << (8 * r);
+    }
+    for (int r = 0; r < 4; ++r) {
+      tables[r][x] = std::rotl(column, 8 * r);
+    }
+  }
+  return tables;
+}
+
+// Encryption: SubBytes then MixColumns. Decryption: InvMixColumns alone (InvSubBytes comes
+// after InvShiftRows in AesDecRound, so it stays a separate gather).
+constexpr RoundTables kEncTables = MakeRoundTables({0x02, 0x01, 0x01, 0x03}, kSbox);
+constexpr RoundTables kDecTables = MakeRoundTables({0x0e, 0x09, 0x0d, 0x0b}, nullptr);
+
+// ShiftRows and InvShiftRows as gathers: output byte i is input byte kShiftRows[i]
+// (kInvShiftRows[i]). Row r of output column c comes from input column c + r (c - r).
+constexpr uint8_t kShiftRows[kAesBlockBytes] = {0, 5, 10, 15, 4, 9, 14, 3,
+                                                8, 13, 2, 7, 12, 1, 6, 11};
+constexpr uint8_t kInvShiftRows[kAesBlockBytes] = {0, 13, 10, 7, 4, 1, 14, 11,
+                                                   8, 5, 2, 15, 12, 9, 6, 3};
+
+inline uint32_t LoadColumn(const AesBlock& s, int c) {
+  return static_cast<uint32_t>(s[4 * c]) | static_cast<uint32_t>(s[4 * c + 1]) << 8 |
+         static_cast<uint32_t>(s[4 * c + 2]) << 16 | static_cast<uint32_t>(s[4 * c + 3]) << 24;
+}
+
+inline void StoreColumn(AesBlock& s, int c, uint32_t column) {
+  s[4 * c] = static_cast<uint8_t>(column);
+  s[4 * c + 1] = static_cast<uint8_t>(column >> 8);
+  s[4 * c + 2] = static_cast<uint8_t>(column >> 16);
+  s[4 * c + 3] = static_cast<uint8_t>(column >> 24);
+}
+
+}  // namespace
+
+uint8_t AesGfMul(uint8_t a, uint8_t b) { return GfMul(a, b); }
+
 uint8_t AesSubByte(uint8_t value) { return kSbox[value]; }
-uint8_t AesInvSubByte(uint8_t value) { return kInvSbox.table[value]; }
+uint8_t AesInvSubByte(uint8_t value) { return kInvSbox[value]; }
 
 uint8_t StandardAesRcon(int round) {
   MERCURIAL_CHECK_GE(round, 1);
@@ -168,30 +155,47 @@ AesKeySchedule ExpandAesKey(const uint8_t key[kAesKeyBytes], const AesRconFn& rc
 }
 
 AesBlock AesEncRound(const AesBlock& state, const AesBlock& round_key, bool last) {
-  AesBlock s = state;
-  SubBytes(s);
-  ShiftRows(s);
-  if (!last) {
-    MixColumns(s);
+  AesBlock out;
+  if (last) {
+    for (size_t i = 0; i < kAesBlockBytes; ++i) {
+      out[i] = static_cast<uint8_t>(kSbox[state[kShiftRows[i]]] ^ round_key[i]);
+    }
+    return out;
   }
-  AddRoundKey(s, round_key);
-  return s;
+  // Column c gathers its rows as kShiftRows does, each through SubBytes and MixColumns.
+  const auto& t = kEncTables;
+  StoreColumn(out, 0, t[0][state[0]] ^ t[1][state[5]] ^ t[2][state[10]] ^ t[3][state[15]] ^
+                          LoadColumn(round_key, 0));
+  StoreColumn(out, 1, t[0][state[4]] ^ t[1][state[9]] ^ t[2][state[14]] ^ t[3][state[3]] ^
+                          LoadColumn(round_key, 1));
+  StoreColumn(out, 2, t[0][state[8]] ^ t[1][state[13]] ^ t[2][state[2]] ^ t[3][state[7]] ^
+                          LoadColumn(round_key, 2));
+  StoreColumn(out, 3, t[0][state[12]] ^ t[1][state[1]] ^ t[2][state[6]] ^ t[3][state[11]] ^
+                          LoadColumn(round_key, 3));
+  return out;
 }
 
 AesBlock AesDecRound(const AesBlock& state, const AesBlock& round_key, bool last) {
-  AesBlock s = state;
-  AddRoundKey(s, round_key);
-  if (!last) {
-    InvMixColumns(s);
+  AesBlock mixed;
+  for (int c = 0; c < 4; ++c) {
+    const uint32_t column = LoadColumn(state, c) ^ LoadColumn(round_key, c);
+    StoreColumn(mixed, c,
+                last ? column
+                     : kDecTables[0][column & 0xff] ^ kDecTables[1][(column >> 8) & 0xff] ^
+                           kDecTables[2][(column >> 16) & 0xff] ^ kDecTables[3][column >> 24]);
   }
-  InvShiftRows(s);
-  InvSubBytes(s);
-  return s;
+  AesBlock out;
+  for (size_t i = 0; i < kAesBlockBytes; ++i) {
+    out[i] = kInvSbox[mixed[kInvShiftRows[i]]];
+  }
+  return out;
 }
 
 AesBlock AesEncryptBlock(const AesKeySchedule& schedule, const AesBlock& plaintext) {
   AesBlock s = plaintext;
-  AddRoundKey(s, schedule.round_keys[0]);
+  for (size_t i = 0; i < kAesBlockBytes; ++i) {
+    s[i] ^= schedule.round_keys[0][i];
+  }
   for (int r = 1; r <= kAesRounds; ++r) {
     s = AesEncRound(s, schedule.round_keys[r], /*last=*/r == kAesRounds);
   }
@@ -203,8 +207,19 @@ AesBlock AesDecryptBlock(const AesKeySchedule& schedule, const AesBlock& ciphert
   for (int r = kAesRounds; r >= 1; --r) {
     s = AesDecRound(s, schedule.round_keys[r], /*last=*/r == kAesRounds);
   }
-  AddRoundKey(s, schedule.round_keys[0]);
+  for (size_t i = 0; i < kAesBlockBytes; ++i) {
+    s[i] ^= schedule.round_keys[0][i];
+  }
   return s;
+}
+
+AesBlock AesCtrCounterBlock(uint64_t nonce, uint64_t counter) {
+  AesBlock block;
+  for (int i = 0; i < 8; ++i) {
+    block[i] = static_cast<uint8_t>(nonce >> (56 - 8 * i));
+    block[8 + i] = static_cast<uint8_t>(counter >> (56 - 8 * i));
+  }
+  return block;
 }
 
 std::vector<uint8_t> AesCtrTransform(const AesKeySchedule& schedule, uint64_t nonce,
@@ -213,12 +228,7 @@ std::vector<uint8_t> AesCtrTransform(const AesKeySchedule& schedule, uint64_t no
   uint64_t counter = 0;
   size_t offset = 0;
   while (offset < data.size()) {
-    AesBlock counter_block{};
-    for (int i = 0; i < 8; ++i) {
-      counter_block[i] = static_cast<uint8_t>(nonce >> (56 - 8 * i));
-      counter_block[8 + i] = static_cast<uint8_t>(counter >> (56 - 8 * i));
-    }
-    const AesBlock keystream = AesEncryptBlock(schedule, counter_block);
+    const AesBlock keystream = AesEncryptBlock(schedule, AesCtrCounterBlock(nonce, counter));
     const size_t chunk = std::min(kAesBlockBytes, data.size() - offset);
     for (size_t i = 0; i < chunk; ++i) {
       out[offset + i] = data[offset + i] ^ keystream[i];

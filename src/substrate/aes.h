@@ -9,8 +9,15 @@
 //             plaintext = s XOR k[0]
 //
 // AesDecRound is the exact inverse of AesEncRound with the same round key, so the decrypt loop
-// simply walks the schedule backwards. The key schedule's round constants are injectable: the
-// paper's "self-inverting AES miscomputation" (§2) is reproduced by a core whose key-expansion
+// simply walks the schedule backwards.
+//
+// Both rounds are table-driven: SubBytes+MixColumns is four 256-entry u32 lookups per column,
+// and AesDecRound runs AddRoundKey, InvMixColumns through four lookup tables, then an
+// InvShiftRows/InvSubBytes gather. The tables are constexpr, so nothing is built at startup.
+// The simulator's AES defects act on a round's output and key on its input state, so how a
+// round is computed cannot change what a defect does.
+//
+// The key schedule's round constants are injectable: the paper's "self-inverting AES miscomputation" (§2) is reproduced by a core whose key-expansion
 // hardware produces wrong round constants — encrypt+decrypt with the same wrong schedule is
 // still the identity, but the ciphertext does not interoperate with healthy cores.
 
@@ -55,8 +62,11 @@ AesBlock AesDecRound(const AesBlock& state, const AesBlock& round_key, bool last
 AesBlock AesEncryptBlock(const AesKeySchedule& schedule, const AesBlock& plaintext);
 AesBlock AesDecryptBlock(const AesKeySchedule& schedule, const AesBlock& ciphertext);
 
-// CTR-mode keystream encryption of an arbitrary-length buffer (encrypt == decrypt). The
-// counter block is nonce || big-endian 64-bit counter.
+// CTR counter block: big-endian 64-bit nonce || big-endian 64-bit counter.
+AesBlock AesCtrCounterBlock(uint64_t nonce, uint64_t counter);
+
+// CTR-mode keystream encryption of an arbitrary-length buffer (encrypt == decrypt), one
+// AesCtrCounterBlock per 16 bytes with the counter starting at 0.
 std::vector<uint8_t> AesCtrTransform(const AesKeySchedule& schedule, uint64_t nonce,
                                      const std::vector<uint8_t>& data);
 

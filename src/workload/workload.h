@@ -79,6 +79,8 @@ class Workload {
                           Rng& rng) const;
 
   WorkloadOptions options_;
+  // Payload scratch buffer reused across Run calls (a corpus is confined to one shard).
+  std::vector<uint8_t> payload_;
 };
 
 // Identifiers for the standard corpus ("compression, hash, math, cryptography, copying,

@@ -272,6 +272,108 @@ TEST(DefectTest, ProbabilisticFiringRate) {
   EXPECT_NEAR(rate, 0.1, 0.01);
 }
 
+// --- Fires(): the golden-elision invariant -------------------------------------------------
+// Workloads skip their golden recompute when Fires() did not move across the on-core
+// computation, so every path that can change a result or raise a machine check must bump it.
+
+class FiresTest : public ::testing::TestWithParam<bool> {
+ protected:
+  // A core on the dispatch path under test (fast armed-defect path or reference path).
+  SimCore Core() {
+    SimCore core = HealthyCore();
+    core.set_fast_path(GetParam());
+    return core;
+  }
+};
+
+TEST_P(FiresTest, DispatchCorruptionBumpsFires) {
+  SimCore core = Core();
+  core.AddDefect(AlwaysFire(ExecUnit::kIntAlu, DefectEffect::kBitFlip));
+  EXPECT_NE(core.Alu(AluOp::kAdd, 1, 2), 3u);
+  EXPECT_EQ(core.counters().Fires(), 1u);
+}
+
+TEST_P(FiresTest, DispatchMachineCheckBumpsFires) {
+  SimCore core = Core();
+  DefectSpec spec = AlwaysFire(ExecUnit::kAes, DefectEffect::kRandomWrong);
+  spec.machine_check_fraction = 1.0;
+  core.AddDefect(spec);
+  const AesBlock state{};
+  const AesBlock key{};
+  EXPECT_EQ(core.AesEnc(state, key, false), AesEncRound(state, key, false));
+  EXPECT_TRUE(core.TakePendingMachineCheck());
+  EXPECT_EQ(core.counters().Fires(), 1u);
+}
+
+TEST_P(FiresTest, AesRconCorruptionBumpsFires) {
+  SimCore core = Core();
+  DefectSpec spec = AlwaysFire(ExecUnit::kAes, DefectEffect::kRconCorrupt);
+  spec.opcode_mask = 1ull << kAesOpRcon;
+  spec.xor_mask = 0x10;
+  core.AddDefect(spec);
+  EXPECT_NE(core.AesRcon(3), StandardAesRcon(3));
+  EXPECT_EQ(core.counters().Fires(), 1u);
+}
+
+TEST_P(FiresTest, EveryCorruptedCopyChunkBumpsFires) {
+  SimCore core = Core();
+  core.AddDefect(AlwaysFire(ExecUnit::kCopy, DefectEffect::kBitFlip));
+  uint8_t src[20] = {};
+  uint8_t dst[20] = {};
+  core.Copy(dst, src, sizeof(src));
+  EXPECT_NE(std::memcmp(dst, src, sizeof(src)), 0);
+  EXPECT_EQ(core.counters().Fires(), 3u) << "one firing per 8-byte chunk";
+}
+
+TEST_P(FiresTest, CopyMachineCheckBumpsFires) {
+  SimCore core = Core();
+  DefectSpec spec = AlwaysFire(ExecUnit::kCopy, DefectEffect::kBitFlip);
+  spec.machine_check_fraction = 1.0;
+  core.AddDefect(spec);
+  uint8_t src[8] = {1, 2, 3, 4, 5, 6, 7, 8};
+  uint8_t dst[8] = {};
+  core.Copy(dst, src, sizeof(src));
+  EXPECT_EQ(std::memcmp(dst, src, sizeof(src)), 0);
+  EXPECT_TRUE(core.TakePendingMachineCheck());
+  EXPECT_EQ(core.counters().Fires(), 1u);
+}
+
+TEST_P(FiresTest, CasDropAndPhantomStoresBumpFires) {
+  SimCore drop = Core();
+  drop.AddDefect(AlwaysFire(ExecUnit::kAtomic, DefectEffect::kCasDropStore));
+  uint64_t target = 5;
+  EXPECT_TRUE(drop.Cas(target, 5, 6));
+  EXPECT_EQ(target, 5u);
+  EXPECT_EQ(drop.counters().Fires(), 1u);
+
+  SimCore phantom = Core();
+  phantom.AddDefect(AlwaysFire(ExecUnit::kAtomic, DefectEffect::kCasPhantomStore));
+  EXPECT_FALSE(phantom.Cas(target, 99, 7));
+  EXPECT_EQ(target, 7u);
+  EXPECT_EQ(phantom.counters().Fires(), 1u);
+}
+
+TEST_P(FiresTest, DivByZeroBumpsFires) {
+  SimCore core = Core();
+  EXPECT_EQ(core.Div(5, 0), ~0ull);
+  EXPECT_EQ(core.counters().Fires(), 1u);
+}
+
+TEST_P(FiresTest, HealthyAndPreOnsetCoresNeverFire) {
+  SimCore core = Core();
+  DefectSpec spec = AlwaysFire(ExecUnit::kIntAlu, DefectEffect::kBitFlip);
+  spec.aging.onset = SimTime::Days(365);
+  core.AddDefect(spec);
+  for (int i = 0; i < 100; ++i) {
+    EXPECT_EQ(core.Alu(AluOp::kAdd, i, 1), static_cast<uint64_t>(i + 1));
+  }
+  uint64_t target = 1;
+  EXPECT_TRUE(core.Cas(target, 1, 2));
+  EXPECT_EQ(core.counters().Fires(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(DispatchPaths, FiresTest, ::testing::Bool());
+
 // --- f/V/T surfaces ------------------------------------------------------------------------
 
 TEST(FvtTest, DvfsCurveInterpolatesAndClamps) {

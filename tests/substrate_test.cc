@@ -166,6 +166,96 @@ TEST(AesTest, CtrNonceSeparation) {
   EXPECT_NE(AesCtrTransform(schedule, 1, data), AesCtrTransform(schedule, 2, data));
 }
 
+// Byte-wise FIPS-197 round, kept here as the oracle for the table-driven AesEncRound and
+// AesDecRound (state[r + 4*c], column-major).
+uint8_t OracleXTime(uint8_t x) { return static_cast<uint8_t>((x << 1) ^ ((x & 0x80) ? 0x1b : 0)); }
+
+AesBlock OracleEncRound(const AesBlock& state, const AesBlock& round_key, bool last) {
+  AesBlock s;
+  for (int r = 0; r < 4; ++r) {  // SubBytes and ShiftRows
+    for (int c = 0; c < 4; ++c) {
+      s[r + 4 * c] = AesSubByte(state[r + 4 * ((c + r) % 4)]);
+    }
+  }
+  if (!last) {  // MixColumns
+    for (int c = 0; c < 4; ++c) {
+      uint8_t* col = &s[4 * c];
+      const uint8_t a0 = col[0], a1 = col[1], a2 = col[2], a3 = col[3];
+      col[0] = static_cast<uint8_t>(OracleXTime(a0) ^ OracleXTime(a1) ^ a1 ^ a2 ^ a3);
+      col[1] = static_cast<uint8_t>(a0 ^ OracleXTime(a1) ^ OracleXTime(a2) ^ a2 ^ a3);
+      col[2] = static_cast<uint8_t>(a0 ^ a1 ^ OracleXTime(a2) ^ OracleXTime(a3) ^ a3);
+      col[3] = static_cast<uint8_t>(OracleXTime(a0) ^ a0 ^ a1 ^ a2 ^ OracleXTime(a3));
+    }
+  }
+  for (size_t i = 0; i < kAesBlockBytes; ++i) {  // AddRoundKey
+    s[i] ^= round_key[i];
+  }
+  return s;
+}
+
+AesBlock OracleDecRound(const AesBlock& state, const AesBlock& round_key, bool last) {
+  AesBlock s = state;
+  for (size_t i = 0; i < kAesBlockBytes; ++i) {  // AddRoundKey
+    s[i] ^= round_key[i];
+  }
+  if (!last) {  // InvMixColumns
+    for (int c = 0; c < 4; ++c) {
+      uint8_t* col = &s[4 * c];
+      const uint8_t a0 = col[0], a1 = col[1], a2 = col[2], a3 = col[3];
+      col[0] = AesGfMul(a0, 0x0e) ^ AesGfMul(a1, 0x0b) ^ AesGfMul(a2, 0x0d) ^ AesGfMul(a3, 0x09);
+      col[1] = AesGfMul(a0, 0x09) ^ AesGfMul(a1, 0x0e) ^ AesGfMul(a2, 0x0b) ^ AesGfMul(a3, 0x0d);
+      col[2] = AesGfMul(a0, 0x0d) ^ AesGfMul(a1, 0x09) ^ AesGfMul(a2, 0x0e) ^ AesGfMul(a3, 0x0b);
+      col[3] = AesGfMul(a0, 0x0b) ^ AesGfMul(a1, 0x0d) ^ AesGfMul(a2, 0x09) ^ AesGfMul(a3, 0x0e);
+    }
+  }
+  AesBlock out;
+  for (int r = 0; r < 4; ++r) {  // InvShiftRows and InvSubBytes
+    for (int c = 0; c < 4; ++c) {
+      out[r + 4 * ((c + r) % 4)] = AesInvSubByte(s[r + 4 * c]);
+    }
+  }
+  return out;
+}
+
+TEST(AesTest, TableRoundsMatchByteWiseOracleOnRandomInputs) {
+  Rng rng(11);
+  for (int trial = 0; trial < 10000; ++trial) {
+    AesBlock state;
+    AesBlock round_key;
+    rng.FillBytes(state.data(), state.size());
+    rng.FillBytes(round_key.data(), round_key.size());
+    const bool last = rng.Bernoulli(0.5);
+    ASSERT_EQ(AesEncRound(state, round_key, last), OracleEncRound(state, round_key, last))
+        << "trial " << trial;
+    ASSERT_EQ(AesDecRound(state, round_key, last), OracleDecRound(state, round_key, last))
+        << "trial " << trial;
+  }
+}
+
+TEST(AesTest, TableRoundsMatchByteWiseOracleOnEverySingleByteState) {
+  Rng rng(12);
+  AesBlock round_key;
+  rng.FillBytes(round_key.data(), round_key.size());
+  for (size_t position = 0; position < kAesBlockBytes; ++position) {
+    for (int value = 0; value < 256; ++value) {
+      AesBlock state{};
+      state[position] = static_cast<uint8_t>(value);
+      for (bool last : {false, true}) {
+        ASSERT_EQ(AesEncRound(state, round_key, last), OracleEncRound(state, round_key, last))
+            << "position " << position << " value " << value << " last " << last;
+        ASSERT_EQ(AesDecRound(state, round_key, last), OracleDecRound(state, round_key, last))
+            << "position " << position << " value " << value << " last " << last;
+      }
+    }
+  }
+}
+
+TEST(AesTest, CtrCounterBlockIsBigEndianNonceThenCounter) {
+  const AesBlock expected = {0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08,
+                             0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x2a};
+  EXPECT_EQ(AesCtrCounterBlock(0x0102030405060708ull, 0x12a), expected);
+}
+
 // --- Checksums ----------------------------------------------------------------------------
 
 TEST(ChecksumTest, Crc32KnownVector) {

@@ -9,6 +9,8 @@
 
 #include "src/common/rng.h"
 #include "src/sim/core.h"
+#include "src/substrate/aes.h"
+#include "src/substrate/btree.h"
 #include "src/substrate/checksum.h"
 #include "src/substrate/lz.h"
 #include "src/substrate/matrix.h"
@@ -281,6 +283,236 @@ INSTANTIATE_TEST_SUITE_P(
                                 DefectEffect::kBitFlip},
                       FaultCase{WorkloadKind::kArithmetic, ExecUnit::kIntDiv,
                                 DefectEffect::kBitFlip}));
+
+// --- Golden elision ---------------------------------------------------------------------------
+// Workloads skip their golden recompute when the core's Fires() count did not move. These
+// tests replay each workload's inputs and on-core computation on a twin core (same state, same
+// streams) and compare against golden here, independently of the workload's own check.
+
+// Draws exactly what the workload of `kind` draws from `rng` before and during its on-core
+// computation, runs that computation on `core`, and returns whether its output differs from
+// golden (with the workload's own notion of "differs": tolerance for matmul, nothing
+// externalized for a crashed GC).
+bool IndependentlyWrong(WorkloadKind kind, size_t n, SimCore& core, Rng& rng) {
+  switch (kind) {
+    case WorkloadKind::kCompression: {
+      std::vector<uint8_t> data;
+      while (data.size() < n) {
+        if (rng.Bernoulli(0.6) && data.size() >= 8) {
+          const size_t back = rng.UniformInt(4, std::min<size_t>(data.size(), 512));
+          const size_t len = std::min<size_t>(rng.UniformInt(4, 64), n - data.size());
+          const size_t start = data.size() - back;
+          for (size_t i = 0; i < len; ++i) {
+            data.push_back(data[start + i]);
+          }
+        } else {
+          const size_t len = std::min<size_t>(rng.UniformInt(1, 16), n - data.size());
+          for (size_t i = 0; i < len; ++i) {
+            data.push_back(static_cast<uint8_t>(rng.UniformInt(0, 255)));
+          }
+        }
+      }
+      const auto decompressed = CoreLzDecompress(core, LzCompress(data));
+      return !decompressed.ok() || *decompressed != data ||
+             CoreCrc32(core, *decompressed) != Crc32(data);
+    }
+    case WorkloadKind::kHash: {
+      const auto data = RandomBytes(rng, n);
+      return CoreFnv1a64(core, data) != Fnv1a64(data);
+    }
+    case WorkloadKind::kCrypto: {
+      uint8_t key[kAesKeyBytes];
+      rng.FillBytes(key, sizeof(key));
+      const uint64_t nonce = rng.NextU64();
+      const auto data = RandomBytes(rng, n);
+      return CoreAesCtr(core, key, nonce, data) != AesCtrTransform(ExpandAesKey(key), nonce, data);
+    }
+    case WorkloadKind::kMemcpy: {
+      const auto data = RandomBytes(rng, n);
+      return CoreMemcpy(core, data) != data;
+    }
+    case WorkloadKind::kLocking: {
+      const uint64_t iterations = std::max<size_t>(n / 16, 16);
+      uint64_t counter = 0;
+      uint64_t retries = 0;
+      for (uint64_t i = 0; i < iterations; ++i) {
+        const uint64_t observed = core.Load(counter);
+        if (!core.Cas(counter, observed, core.Alu(AluOp::kAdd, observed, 1))) {
+          if (++retries > 4 * iterations) {
+            break;
+          }
+          --i;
+        }
+      }
+      return counter != iterations;
+    }
+    case WorkloadKind::kSorting: {
+      std::vector<uint64_t> keys(std::max<size_t>(n / 8, 8));
+      for (auto& key : keys) {
+        key = rng.NextU64();
+      }
+      std::vector<uint64_t> golden = keys;
+      std::sort(golden.begin(), golden.end());
+      return CoreMergeSort(core, keys) != golden;
+    }
+    case WorkloadKind::kMatmul: {
+      Matrix a(8, 8);
+      Matrix b(8, 8);
+      for (size_t i = 0; i < 8; ++i) {
+        for (size_t j = 0; j < 8; ++j) {
+          a.at(i, j) = rng.NextDouble() * 2.0 - 1.0;
+          b.at(i, j) = rng.NextDouble() * 2.0 - 1.0;
+        }
+      }
+      return CoreMatmul(core, a, b).MaxAbsDiff(Multiply(a, b)) > 1e-9;
+    }
+    case WorkloadKind::kGarbageCollect: {
+      const size_t count = std::max<size_t>(n / 8, 32);
+      std::vector<uint64_t> next(count);
+      for (size_t i = 0; i < count; ++i) {
+        next[i] = rng.Bernoulli(0.7) ? rng.UniformInt(0, count - 1) : i;
+      }
+      std::vector<bool> marked(count, false);
+      std::vector<bool> golden(count, false);
+      for (size_t r = 0; r < std::max<size_t>(count / 8, 4); ++r) {
+        const size_t root = rng.UniformInt(0, count - 1);
+        for (size_t g = root; !golden[g]; g = next[g]) {
+          golden[g] = true;
+        }
+        uint64_t index = root;
+        while (!marked[index]) {  // marks a new object per hop, so at most `count` hops
+          marked[index] = true;
+          index = core.Load(next[index]);
+          if (index >= count) {
+            return false;  // segfault: nothing externalized
+          }
+        }
+      }
+      for (size_t i = 0; i < count; ++i) {
+        if (golden[i] && !marked[i]) {
+          return true;
+        }
+      }
+      return false;
+    }
+    case WorkloadKind::kDbIndex: {
+      const size_t key_count = std::max<size_t>(n / 8, 64);
+      BTree index;
+      std::vector<uint64_t> keys;
+      for (uint64_t k = rng.UniformInt(0, 1000); keys.size() < key_count;
+           k += 1 + rng.UniformInt(0, 16)) {
+        index.Insert(k, Mix64(k));
+        keys.push_back(k);
+      }
+      bool wrong = false;
+      for (int q = 0; q < 16; ++q) {
+        const uint64_t needle = keys[rng.UniformInt(0, key_count - 1)];
+        const auto row = index.LookupThrough(
+            needle, [&core](uint64_t separator) { return core.Load(separator); });
+        wrong |= !row.has_value() || *row != Mix64(needle);
+      }
+      return wrong;
+    }
+    case WorkloadKind::kKernel: {
+      uint64_t state[32];
+      uint64_t shadow[32];
+      for (size_t i = 0; i < 32; ++i) {
+        state[i] = shadow[i] = rng.NextU64();
+      }
+      for (size_t u = 0; u < std::max<size_t>(n / 8, 64); ++u) {
+        const size_t slot = rng.UniformInt(0, 31);
+        const uint64_t delta = rng.NextU64();
+        state[slot] = core.Store(core.Alu(AluOp::kXor, core.Load(state[slot]), delta));
+        shadow[slot] ^= delta;
+      }
+      return std::memcmp(state, shadow, sizeof(state)) != 0;
+    }
+    case WorkloadKind::kVectorScan: {
+      auto data = RandomBytes(rng, n);
+      const uint64_t fold = CoreVectorXorFold(core, data);
+      data.resize((n + 15) / 16 * 16, 0);
+      uint64_t expected = 0;
+      for (size_t i = 0; i < data.size(); i += 8) {
+        uint64_t word;
+        std::memcpy(&word, &data[i], 8);
+        expected ^= word;
+      }
+      return fold != expected;
+    }
+    case WorkloadKind::kArithmetic: {
+      uint64_t acc = 0;
+      uint64_t golden = 0;
+      for (size_t i = 0; i < std::max<size_t>(n / 16, 16); ++i) {
+        const uint64_t a = rng.NextU64() | 1;
+        const uint64_t b = (rng.NextU64() | 1) & 0xffffffff;
+        const uint64_t q = core.Div(a, b);
+        acc = core.Alu(AluOp::kXor, acc, core.Alu(AluOp::kAdd, core.Mul(q, b), q));
+        golden ^= (a / b) * b + a / b;
+      }
+      return acc != golden;
+    }
+  }
+  ADD_FAILURE() << "unhandled workload kind";
+  return false;
+}
+
+// Defects at `rate` on every unit the workload exercises (lock-violating CAS on the atomic
+// unit, random-bit flips elsewhere), all with aging onset `onset`.
+SimCore CoreWithDefectsOnUnits(const Workload& workload, double rate, SimTime onset) {
+  SimCore core = HealthyCore();
+  for (ExecUnit unit : workload.UnitsExercised()) {
+    DefectSpec spec = AlwaysFire(
+        unit, unit == ExecUnit::kAtomic ? DefectEffect::kCasDropStore : DefectEffect::kBitFlip,
+        rate);
+    spec.aging.onset = onset;
+    core.AddDefect(spec);
+  }
+  return core;
+}
+
+class GoldenElisionTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(GoldenElisionTest, WrongOutputMatchesIndependentGoldenUnderFiringDefects) {
+  const auto kind = static_cast<WorkloadKind>(GetParam());
+  WorkloadOptions options;
+  options.payload_bytes = 256;
+  auto workload = MakeWorkload(kind, options);
+  // Rate 1 fires on every op; the low rate leaves many units with no firing at all, so both
+  // the elided and the recomputed branch are exercised.
+  for (double rate : {1.0, 0.002}) {
+    SimCore core = CoreWithDefectsOnUnits(*workload, rate, SimTime::Seconds(0));
+    Rng rng(40 + GetParam());
+    for (int i = 0; i < 30; ++i) {
+      SimCore twin = core;
+      Rng twin_rng = rng;
+      const uint64_t fires_before = core.counters().Fires();
+      const WorkloadResult result = workload->Run(core, rng);
+      if (rate == 1.0) {
+        EXPECT_GT(core.counters().Fires(), fires_before);
+      }
+      EXPECT_EQ(result.wrong_output, IndependentlyWrong(kind, options.payload_bytes, twin, twin_rng))
+          << WorkloadKindName(kind) << " rate " << rate << " unit " << i;
+    }
+  }
+}
+
+TEST_P(GoldenElisionTest, PreOnsetDefectsNeverFireOrGoWrong) {
+  const auto kind = static_cast<WorkloadKind>(GetParam());
+  WorkloadOptions options;
+  options.payload_bytes = 256;
+  options.check_probability = 1.0;
+  auto workload = MakeWorkload(kind, options);
+  SimCore core = CoreWithDefectsOnUnits(*workload, 1.0, SimTime::Days(365));
+  Rng rng(60 + GetParam());
+  for (int i = 0; i < 20; ++i) {
+    const WorkloadResult result = workload->Run(core, rng);
+    EXPECT_FALSE(result.wrong_output) << WorkloadKindName(kind) << " unit " << i;
+    EXPECT_EQ(result.symptom, Symptom::kNone) << WorkloadKindName(kind) << " unit " << i;
+  }
+  EXPECT_EQ(core.counters().Fires(), 0u) << WorkloadKindName(kind);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllKinds, GoldenElisionTest, ::testing::Range(0, kWorkloadKindCount));
 
 TEST(WorkloadTest, NoCheckingMeansSilentCorruption) {
   WorkloadOptions options;
