@@ -191,7 +191,6 @@ struct StudyResult {
 
 StudyResult RunStudy(size_t machines, int days, uint64_t seed, bool fast_path,
                      const TraceOptions& trace = TraceOptions{}) {
-  SetDispatchFastPath(fast_path);
   StudyOptions options;
   options.seed = seed;
   options.fleet.machine_count = machines;
@@ -202,7 +201,8 @@ StudyResult RunStudy(size_t machines, int days, uint64_t seed, bool fast_path,
   options.screening.offline_period = SimTime::Days(30);
   options.trace = trace;
   FleetStudy study(options);
-  SetDispatchFastPath(true);  // restore the default for anything constructed later
+  study.fleet().ForEachCore(
+      [fast_path](uint64_t, SimCore& core) { core.set_fast_path(fast_path); });
   const auto start = std::chrono::steady_clock::now();
   const StudyReport report = study.Run();
   const auto stop = std::chrono::steady_clock::now();

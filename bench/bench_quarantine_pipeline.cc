@@ -12,9 +12,9 @@
 //     high-chaos row must stay at or below --budget regardless of how much the injector
 //     misbehaves.
 //
-// The chaos-off study is additionally run once with the dispatch fast path disabled (see
-// SetDispatchFastPath in src/sim/core.h), recording the wall-clock reduction the armed-defect
-// cache buys end-to-end under identical machine conditions.
+// The chaos-off study is additionally run once with every core's defect gate on the reference
+// walk (SimCore::set_fast_path in src/sim/core.h), recording the wall-clock reduction the
+// armed-defect list buys end-to-end under identical machine conditions.
 //
 // A second sweep measures the verdict layer (src/detect/quorum.h): with a lying-tester fault
 // injected at a fixed rate, the study is re-run across quorum sizes {single tester, 3, 5}
@@ -80,7 +80,6 @@ StudyOptions BaseOptions(uint64_t seed, size_t machines, int days, double budget
 }
 
 ChaosRow RunOnce(ChaosRow row, const StudyOptions& base, bool fast_path = true) {
-  SetDispatchFastPath(fast_path);
   StudyOptions options = base;
   options.control_plane.chaos.drop_report = row.drop;
   options.control_plane.chaos.duplicate_report = row.duplicate;
@@ -88,6 +87,8 @@ ChaosRow RunOnce(ChaosRow row, const StudyOptions& base, bool fast_path = true) 
   options.control_plane.chaos.abort_interrogation = row.abort_interrogation;
   options.control_plane.chaos.machine_restart_per_day = row.restarts_per_day;
   FleetStudy study(options);
+  study.fleet().ForEachCore(
+      [fast_path](uint64_t, SimCore& core) { core.set_fast_path(fast_path); });
   const auto start = std::chrono::steady_clock::now();
   const StudyReport report = study.Run();
   const auto stop = std::chrono::steady_clock::now();
@@ -101,7 +102,6 @@ ChaosRow RunOnce(ChaosRow row, const StudyOptions& base, bool fast_path = true) 
   row.stranded_fraction = report.control_plane.pending_isolation_core_seconds / total_core_seconds;
   row.suspects_per_sec =
       row.seconds > 0.0 ? static_cast<double>(row.suspects_admitted) / row.seconds : 0.0;
-  SetDispatchFastPath(true);
   return row;
 }
 

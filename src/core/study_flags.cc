@@ -3,12 +3,14 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <iterator>
 #include <limits>
 #include <string>
 #include <type_traits>
 #include <utility>
 #include <variant>
 
+#include "src/common/logging.h"
 #include "src/common/wire.h"
 
 namespace mercurial {
@@ -154,6 +156,45 @@ Status OutOfRange(const std::string& name) {
   return InvalidArgumentError("flag --" + name + " is out of range for its field");
 }
 
+// Sets `flag`'s field in `*options` from its parsed value in `flags`.
+Status ApplyFlag(const StudyFlag& flag, const FlagSet& flags, StudyOptions* options) {
+  const auto set = [](auto& field, auto value) {
+    field = value;
+    return Status::Ok();
+  };
+  const std::string name = flag.name;
+  return std::visit(
+      Overloaded{
+          [&](Field<bool> f) { return set(f(*options), flags.GetBool(name)); },
+          [&](Field<uint64_t> f) { return set(f(*options), flags.GetUint(name)); },
+          [&](Field<double> f) { return set(f(*options), flags.GetDouble(name)); },
+          [&](Field<std::string> f) { return set(f(*options), flags.GetString(name)); },
+          [&](Bits64 b) {
+            return set(b.field(*options), static_cast<uint64_t>(flags.GetInt(name)));
+          },
+          [&](Field<int> f) {
+            const int64_t value = flags.GetInt(name);
+            return value < std::numeric_limits<int>::min() ||
+                           value > std::numeric_limits<int>::max()
+                       ? OutOfRange(name)
+                       : set(f(*options), static_cast<int>(value));
+          },
+          [&](Days d) {
+            // Checked before the cast: NaN, infinities and doubles outside int64 are
+            // undefined behaviour when converted.
+            const double days = flags.GetDouble(name);
+            if (!(std::fabs(days * 86400.0) < 0x1p63)) {
+              return OutOfRange(name);
+            }
+            if (d.enabled != nullptr && !(d.enabled(*options) = days > 0)) {
+              return Status::Ok();  // switched off; the period keeps its default
+            }
+            return set(d.field(*options), SimTime::Seconds(static_cast<int64_t>(days * 86400)));
+          },
+      },
+      flag.field);
+}
+
 }  // namespace
 
 StudyOptions CliStudyDefaults() {
@@ -189,49 +230,21 @@ void DefineStudyOptionFlags(FlagSet& flags, StudyOptions defaults) {
 }
 
 Status StudyOptionsFromFlags(const FlagSet& flags, StudyOptions* out) {
-  const auto set = [](auto& field, auto value) {
-    field = value;
-    return Status::Ok();
-  };
   StudyOptions options = CliStudyDefaults();
   for (const StudyFlag& flag : kStudyFlags) {
-    const std::string name = flag.name;
-    const Status status = std::visit(
-        Overloaded{
-            [&](Field<bool> f) { return set(f(options), flags.GetBool(name)); },
-            [&](Field<uint64_t> f) { return set(f(options), flags.GetUint(name)); },
-            [&](Field<double> f) { return set(f(options), flags.GetDouble(name)); },
-            [&](Field<std::string> f) { return set(f(options), flags.GetString(name)); },
-            [&](Bits64 b) {
-              return set(b.field(options), static_cast<uint64_t>(flags.GetInt(name)));
-            },
-            [&](Field<int> f) {
-              const int64_t value = flags.GetInt(name);
-              return value < std::numeric_limits<int>::min() ||
-                             value > std::numeric_limits<int>::max()
-                         ? OutOfRange(name)
-                         : set(f(options), static_cast<int>(value));
-            },
-            [&](Days d) {
-              // Checked before the cast: NaN, infinities and doubles outside int64 are
-              // undefined behaviour when converted.
-              const double days = flags.GetDouble(name);
-              if (!(std::fabs(days * 86400.0) < 0x1p63)) {
-                return OutOfRange(name);
-              }
-              if (d.enabled != nullptr && !(d.enabled(options) = days > 0)) {
-                return Status::Ok();  // switched off; the period keeps its default
-              }
-              return set(d.field(options), SimTime::Seconds(static_cast<int64_t>(days * 86400)));
-            },
-        },
-        flag.field);
-    if (!status.ok()) {
+    if (Status status = ApplyFlag(flag, flags, &options); !status.ok()) {
       return status;
     }
   }
   *out = std::move(options);
   return Status::Ok();
+}
+
+Status ApplyStudyFlag(const FlagSet& flags, const std::string& name, StudyOptions* options) {
+  const auto* flag = std::find_if(std::begin(kStudyFlags), std::end(kStudyFlags),
+                                  [&](const StudyFlag& f) { return name == f.name; });
+  MERCURIAL_CHECK(flag != std::end(kStudyFlags)) << "--" << name << " is not a study flag";
+  return ApplyFlag(*flag, flags, options);
 }
 
 std::vector<uint8_t> EncodeArgvManifest(int argc, const char* const* argv) {

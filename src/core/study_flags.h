@@ -30,6 +30,11 @@ void DefineStudyOptionFlags(FlagSet& flags, StudyOptions defaults = CliStudyDefa
 // Range checks on the options themselves are StudyOptions::Validate()'s.
 Status StudyOptionsFromFlags(const FlagSet& flags, StudyOptions* out);
 
+// Sets the one field study flag `name` is bound to, from its value in `flags`, with the same
+// checks as StudyOptionsFromFlags. For other commands that share a study flag's name: `flags`
+// must define `name` with the type DefineStudyOptionFlags gives it.
+Status ApplyStudyFlag(const FlagSet& flags, const std::string& name, StudyOptions* options);
+
 // The journal manifest `mercurialctl study` records: its own argv, as a u32 count and one
 // length-prefixed blob per argument — enough for `recover` to rebuild and re-run the exact
 // invocation that wrote the journal.

@@ -1,6 +1,5 @@
 #include "src/sim/core.h"
 
-#include <atomic>
 #include <bit>
 #include <cstring>
 
@@ -15,17 +14,9 @@ namespace {
 // either; rotation keeps a/b asymmetric.
 inline uint64_t Signature(uint64_t a, uint64_t b) { return a ^ std::rotl(b, 1); }
 
-std::atomic<bool> g_dispatch_fast_path{true};
+static_assert(kExecUnitCount <= 16, "afflicted_units_ holds one bit per unit");
 
 }  // namespace
-
-void SetDispatchFastPath(bool enabled) {
-  g_dispatch_fast_path.store(enabled, std::memory_order_relaxed);
-}
-
-bool DispatchFastPathEnabled() {
-  return g_dispatch_fast_path.load(std::memory_order_relaxed);
-}
 
 const char* ExecUnitName(ExecUnit unit) {
   switch (unit) {
@@ -63,14 +54,13 @@ uint64_t CoreCounters::TotalOps() const {
   return total;
 }
 
-SimCore::SimCore(uint64_t id, Rng rng)
-    : id_(id), rng_(rng), fast_path_(DispatchFastPathEnabled()) {}
+SimCore::SimCore(uint64_t id, Rng rng) : id_(id), rng_(rng) {}
 
 void SimCore::AddDefect(DefectSpec spec) {
-  const auto unit_index = static_cast<size_t>(spec.unit);
-  MERCURIAL_CHECK_LT(unit_index, static_cast<size_t>(kExecUnitCount));
+  const auto unit_index = static_cast<unsigned>(spec.unit);
+  MERCURIAL_CHECK_LT(unit_index, static_cast<unsigned>(kExecUnitCount));
+  afflicted_units_ |= static_cast<uint16_t>(1u << unit_index);
   defects_.emplace_back(std::move(spec));
-  defects_by_unit_[unit_index].push_back(static_cast<uint16_t>(defects_.size() - 1));
   if (health_slot_ != nullptr) {
     *health_slot_ = 0;
   }
@@ -99,8 +89,10 @@ SimTime SimCore::EarliestDefectOnset() const {
 double SimCore::UnitFireProbability(ExecUnit unit) const {
   const Environment env = CurrentEnvironment();
   double max_p = 0.0;
-  for (uint16_t index : defects_by_unit_[static_cast<size_t>(unit)]) {
-    max_p = std::max(max_p, defects_[index].FireProbability(env));
+  for (const Defect& defect : defects_) {
+    if (defect.unit() == unit) {
+      max_p = std::max(max_p, defect.FireProbability(env));
+    }
   }
   return max_p;
 }
@@ -115,12 +107,10 @@ Environment SimCore::CurrentEnvironment() const {
 
 void SimCore::RearmDefects() {
   const Environment env = CurrentEnvironment();
-  for (auto& unit_list : armed_) {
-    unit_list.clear();  // keeps capacity; re-arming is per environment change, not per op
-  }
+  armed_.clear();  // keeps capacity; re-arming is per environment change, not per op
   for (size_t i = 0; i < defects_.size(); ++i) {
     const DefectSpec& spec = defects_[i].spec();
-    // A gate that can never pass consumes zero draws on the reference path too (ShouldFire
+    // A gate that can never pass consumes zero draws on the reference walk too (ShouldFire
     // short-circuits before Bernoulli), so dropping the defect here is stream-neutral.
     if (spec.opcode_mask == 0) {
       continue;  // matches no opcode
@@ -132,23 +122,43 @@ void SimCore::RearmDefects() {
     if (p <= 0.0) {
       continue;  // inactive (pre-onset) or zero-rate in this environment
     }
-    ArmedDefect armed;
-    armed.opcode_mask = spec.opcode_mask;
-    armed.trigger = spec.trigger;
-    armed.probability = p;
-    armed.machine_check_fraction = spec.machine_check_fraction;
-    armed.effect = spec.effect;
-    armed.index = static_cast<uint16_t>(i);
-    armed_[static_cast<size_t>(spec.unit)].push_back(armed);
+    armed_.push_back(ArmedDefect{spec.opcode_mask, spec.trigger, p, static_cast<uint16_t>(i),
+                                 spec.unit, spec.effect});
   }
   armed_revision_ = env_revision_;
 }
 
-const std::vector<SimCore::ArmedDefect>& SimCore::ArmedForUnit(ExecUnit unit) {
-  if (armed_revision_ != env_revision_) {
-    RearmDefects();
+template <typename Fire>
+void SimCore::WalkGates(const OpInfo& op, Fire&& fire) {
+  const bool rcon_op = op.unit == ExecUnit::kAes && op.opcode == kAesOpRcon;
+  if (fast_path_) {
+    // The armed list keeps defects_ order, excluded defects never drew on the reference walk,
+    // and the cached probability is the same double ShouldFire would recompute: the two walks
+    // draw from rng_ identically.
+    if (armed_revision_ != env_revision_) {
+      RearmDefects();
+    }
+    for (const ArmedDefect& armed : armed_) {
+      if (armed.unit != op.unit || (rcon_op && armed.effect != DefectEffect::kRconCorrupt) ||
+          (armed.opcode_mask & (1ull << op.opcode)) == 0 ||
+          !armed.trigger.Matches(op.operand_signature) || !rng_.Bernoulli(armed.probability)) {
+        continue;
+      }
+      if (fire(defects_[armed.index])) {
+        return;
+      }
+    }
+    return;
   }
-  return armed_[static_cast<size_t>(unit)];
+  const Environment env = CurrentEnvironment();
+  for (const Defect& defect : defects_) {
+    if (rcon_op && defect.spec().effect != DefectEffect::kRconCorrupt) {
+      continue;
+    }
+    if (defect.ShouldFire(op, env, rng_) && fire(defect)) {
+      return;
+    }
+  }
 }
 
 void SimCore::TraceFire(ExecUnit unit, bool machine_check) {
@@ -161,48 +171,22 @@ void SimCore::TraceFire(ExecUnit unit, bool machine_check) {
 
 void SimCore::Dispatch(const OpInfo& op, uint8_t* result, size_t size) {
   ++counters_.ops_per_unit[static_cast<size_t>(op.unit)];
-  const auto& unit_defects = defects_by_unit_[static_cast<size_t>(op.unit)];
-  if (unit_defects.empty()) {
+  if (!Afflicted(op.unit)) {
     return;
   }
-  if (fast_path_) {
-    // Armed-list iteration draws from rng_ in exactly the reference order: armed defects keep
-    // defects_ order, excluded defects never drew, and the cached probability is the same
-    // double ShouldFire would recompute.
-    for (const ArmedDefect& armed : ArmedForUnit(op.unit)) {
-      if ((armed.opcode_mask & (1ull << op.opcode)) == 0 ||
-          !armed.trigger.Matches(op.operand_signature) || !rng_.Bernoulli(armed.probability)) {
-        continue;
-      }
-      if (armed.machine_check_fraction > 0.0 && rng_.Bernoulli(armed.machine_check_fraction)) {
-        pending_machine_check_ = true;
-        ++counters_.machine_checks;
-        TraceFire(op.unit, /*machine_check=*/true);
-        continue;
-      }
-      defects_[armed.index].CorruptBytes(op, result, size, rng_);
-      ++counters_.corruptions;
-      TraceFire(op.unit, /*machine_check=*/false);
-    }
-    return;
-  }
-  const Environment env = CurrentEnvironment();
-  for (uint16_t index : unit_defects) {
-    const Defect& defect = defects_[index];
-    if (!defect.ShouldFire(op, env, rng_)) {
-      continue;
-    }
-    if (defect.spec().machine_check_fraction > 0.0 &&
-        rng_.Bernoulli(defect.spec().machine_check_fraction)) {
+  WalkGates(op, [&](const Defect& defect) {
+    const double machine_check_fraction = defect.spec().machine_check_fraction;
+    if (machine_check_fraction > 0.0 && rng_.Bernoulli(machine_check_fraction)) {
       pending_machine_check_ = true;
       ++counters_.machine_checks;
       TraceFire(op.unit, /*machine_check=*/true);
-      continue;
+      return false;
     }
     defect.CorruptBytes(op, result, size, rng_);
     ++counters_.corruptions;
     TraceFire(op.unit, /*machine_check=*/false);
-  }
+    return false;
+  });
 }
 
 uint64_t SimCore::Alu(AluOp op, uint64_t a, uint64_t b) {
@@ -343,40 +327,16 @@ AesBlock SimCore::AesDec(const AesBlock& state, const AesBlock& round_key, bool 
 uint8_t SimCore::AesRcon(int round) {
   uint8_t rcon = StandardAesRcon(round);
   ++counters_.ops_per_unit[static_cast<size_t>(ExecUnit::kAes)];
-  const auto& unit_defects = defects_by_unit_[static_cast<size_t>(ExecUnit::kAes)];
-  if (unit_defects.empty()) {
+  if (!Afflicted(ExecUnit::kAes)) {
     return rcon;
   }
-  const OpInfo op{ExecUnit::kAes, kAesOpRcon, static_cast<uint64_t>(round)};
-  if (fast_path_) {
-    for (const ArmedDefect& armed : ArmedForUnit(ExecUnit::kAes)) {
-      // The effect filter comes before any draw, as on the reference path: non-rcon AES
-      // defects never consume randomness on rcon ops.
-      if (armed.effect != DefectEffect::kRconCorrupt) {
-        continue;
-      }
-      if ((armed.opcode_mask & (1ull << op.opcode)) == 0 ||
-          !armed.trigger.Matches(op.operand_signature) || !rng_.Bernoulli(armed.probability)) {
-        continue;
-      }
-      rcon = defects_[armed.index].CorruptRcon(rcon);
-      ++counters_.corruptions;
-      TraceFire(ExecUnit::kAes, /*machine_check=*/false);
-    }
-    return rcon;
-  }
-  const Environment env = CurrentEnvironment();
-  for (uint16_t index : unit_defects) {
-    const Defect& defect = defects_[index];
-    if (defect.spec().effect != DefectEffect::kRconCorrupt) {
-      continue;
-    }
-    if (defect.ShouldFire(op, env, rng_)) {
-      rcon = defect.CorruptRcon(rcon);
-      ++counters_.corruptions;
-      TraceFire(ExecUnit::kAes, /*machine_check=*/false);
-    }
-  }
+  WalkGates({ExecUnit::kAes, kAesOpRcon, static_cast<uint64_t>(round)},
+            [&](const Defect& defect) {
+              rcon = defect.CorruptRcon(rcon);
+              ++counters_.corruptions;
+              TraceFire(ExecUnit::kAes, /*machine_check=*/false);
+              return false;
+            });
   return rcon;
 }
 
@@ -396,130 +356,49 @@ uint32_t SimCore::Crc32Block(uint32_t crc, const uint8_t* data, size_t n) {
 }
 
 void SimCore::Copy(uint8_t* dst, const uint8_t* src, size_t n) {
-  const auto& unit_defects = defects_by_unit_[static_cast<size_t>(ExecUnit::kCopy)];
-  const size_t chunks = (n + 7) / 8;
-  counters_.ops_per_unit[static_cast<size_t>(ExecUnit::kCopy)] += chunks;
-  if (unit_defects.empty()) {
+  if (!Afflicted(ExecUnit::kCopy)) {
+    counters_.ops_per_unit[static_cast<size_t>(ExecUnit::kCopy)] += (n + 7) / 8;
     std::memmove(dst, src, n);
     return;
   }
-  if (fast_path_) {
-    // The reference path recomputes FireProbability per defect per 8-byte chunk; the armed
-    // list hoists that out of the chunk loop entirely.
-    const std::vector<ArmedDefect>& armed = ArmedForUnit(ExecUnit::kCopy);
-    size_t offset = 0;
-    while (offset < n) {
-      const size_t chunk = std::min<size_t>(8, n - offset);
-      uint8_t buffer[8];
-      std::memcpy(buffer, src + offset, chunk);
-      uint64_t sig = 0;
-      std::memcpy(&sig, buffer, chunk);
-      const OpInfo op{ExecUnit::kCopy, kCopyOpChunk, sig};
-      for (const ArmedDefect& ad : armed) {
-        if ((ad.opcode_mask & (1ull << op.opcode)) == 0 ||
-            !ad.trigger.Matches(op.operand_signature) || !rng_.Bernoulli(ad.probability)) {
-          continue;
-        }
-        if (ad.machine_check_fraction > 0.0 && rng_.Bernoulli(ad.machine_check_fraction)) {
-          pending_machine_check_ = true;
-          ++counters_.machine_checks;
-          TraceFire(ExecUnit::kCopy, /*machine_check=*/true);
-          continue;
-        }
-        defects_[ad.index].CorruptBytes(op, buffer, chunk, rng_);
-        ++counters_.corruptions;
-        TraceFire(ExecUnit::kCopy, /*machine_check=*/false);
-      }
-      std::memcpy(dst + offset, buffer, chunk);
-      offset += chunk;
-    }
-    return;
-  }
-  const Environment env = CurrentEnvironment();
-  size_t offset = 0;
-  while (offset < n) {
+  for (size_t offset = 0; offset < n; offset += 8) {
     const size_t chunk = std::min<size_t>(8, n - offset);
     uint8_t buffer[8];
     std::memcpy(buffer, src + offset, chunk);
     uint64_t sig = 0;
     std::memcpy(&sig, buffer, chunk);
-    const OpInfo op{ExecUnit::kCopy, kCopyOpChunk, sig};
-    for (uint16_t index : unit_defects) {
-      const Defect& defect = defects_[index];
-      if (!defect.ShouldFire(op, env, rng_)) {
-        continue;
-      }
-      if (defect.spec().machine_check_fraction > 0.0 &&
-          rng_.Bernoulli(defect.spec().machine_check_fraction)) {
-        pending_machine_check_ = true;
-        ++counters_.machine_checks;
-        TraceFire(ExecUnit::kCopy, /*machine_check=*/true);
-        continue;
-      }
-      defect.CorruptBytes(op, buffer, chunk, rng_);
-      ++counters_.corruptions;
-      TraceFire(ExecUnit::kCopy, /*machine_check=*/false);
-    }
+    Dispatch({ExecUnit::kCopy, kCopyOpChunk, sig}, buffer, chunk);
     std::memcpy(dst + offset, buffer, chunk);
-    offset += chunk;
   }
 }
 
 bool SimCore::Cas(uint64_t& target, uint64_t expected, uint64_t desired) {
   ++counters_.ops_per_unit[static_cast<size_t>(ExecUnit::kAtomic)];
   const bool would_succeed = target == expected;
-  const auto& unit_defects = defects_by_unit_[static_cast<size_t>(ExecUnit::kAtomic)];
-  if (!unit_defects.empty() && fast_path_) {
-    const OpInfo op{ExecUnit::kAtomic, kAtomicOpCas, Signature(expected, desired)};
-    for (const ArmedDefect& armed : ArmedForUnit(ExecUnit::kAtomic)) {
-      // Every armed defect draws when its gate passes (as ShouldFire would), even when the
-      // effect then turns out not to apply to this CAS outcome.
-      if ((armed.opcode_mask & (1ull << op.opcode)) == 0 ||
-          !armed.trigger.Matches(op.operand_signature) || !rng_.Bernoulli(armed.probability)) {
-        continue;
-      }
-      if (armed.effect == DefectEffect::kCasDropStore && would_succeed) {
-        // Lock appears acquired/updated but memory never changed.
-        ++counters_.corruptions;
-        TraceFire(ExecUnit::kAtomic, /*machine_check=*/false);
-        return true;
-      }
-      if (armed.effect == DefectEffect::kCasPhantomStore && !would_succeed) {
-        // Store happens even though the compare failed.
-        target = desired;
-        ++counters_.corruptions;
-        TraceFire(ExecUnit::kAtomic, /*machine_check=*/false);
-        return false;
-      }
-    }
-  } else if (!unit_defects.empty()) {
-    const Environment env = CurrentEnvironment();
-    const OpInfo op{ExecUnit::kAtomic, kAtomicOpCas, Signature(expected, desired)};
-    for (uint16_t index : unit_defects) {
-      const Defect& defect = defects_[index];
-      if (!defect.ShouldFire(op, env, rng_)) {
-        continue;
-      }
-      if (defect.spec().effect == DefectEffect::kCasDropStore && would_succeed) {
-        // Lock appears acquired/updated but memory never changed.
-        ++counters_.corruptions;
-        TraceFire(ExecUnit::kAtomic, /*machine_check=*/false);
-        return true;
-      }
-      if (defect.spec().effect == DefectEffect::kCasPhantomStore && !would_succeed) {
-        // Store happens even though the compare failed.
-        target = desired;
-        ++counters_.corruptions;
-        TraceFire(ExecUnit::kAtomic, /*machine_check=*/false);
-        return false;
-      }
-    }
+  bool faulted = false;
+  if (Afflicted(ExecUnit::kAtomic)) {
+    // Every gate that passes draws, even when its effect then does not apply to this CAS
+    // outcome; the first effect that applies ends the op.
+    WalkGates({ExecUnit::kAtomic, kAtomicOpCas, Signature(expected, desired)},
+              [&](const Defect& defect) {
+                const DefectEffect effect = defect.spec().effect;
+                if (effect == DefectEffect::kCasDropStore && would_succeed) {
+                  // Lock appears acquired/updated but memory never changed.
+                } else if (effect == DefectEffect::kCasPhantomStore && !would_succeed) {
+                  target = desired;  // the store happens even though the compare failed
+                } else {
+                  return false;
+                }
+                faulted = true;
+                ++counters_.corruptions;
+                TraceFire(ExecUnit::kAtomic, /*machine_check=*/false);
+                return true;
+              });
   }
-  if (would_succeed) {
+  if (would_succeed && !faulted) {
     target = desired;
-    return true;
   }
-  return false;
+  return would_succeed;
 }
 
 bool SimCore::TakePendingMachineCheck() {

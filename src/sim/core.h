@@ -6,8 +6,8 @@
 // with no defects is "healthy" and behaves exactly like the golden implementation (this is the
 // soundness basis for the fleet simulator's healthy-core fast path, see DESIGN.md §decision 1).
 //
-// Threading: a SimCore is confined to one thread (the whole simulator is single-threaded and
-// deterministic).
+// Threading: a SimCore is not thread-safe. The fleet engine confines each core to the shard
+// that owns it, so only that shard's worker touches the core during a tick.
 
 #ifndef MERCURIAL_SRC_SIM_CORE_H_
 #define MERCURIAL_SRC_SIM_CORE_H_
@@ -27,12 +27,6 @@
 namespace mercurial {
 
 class TraceRecorder;
-
-// Process-wide default for the dispatch fast path (armed-defect caching, see SimCore below).
-// New cores capture the value at construction; flipping it lets the equivalence suite prove
-// the fast and reference paths produce bit-identical studies. Enabled by default.
-void SetDispatchFastPath(bool enabled);
-bool DispatchFastPathEnabled();
 
 // Opcodes for units whose ops are not already enumerated in exec_unit.h.
 inline constexpr uint8_t kAesOpEncRound = 0;
@@ -91,7 +85,7 @@ class SimCore {
 
   // --- Operating conditions ----------------------------------------------------------------
   // Every setter that can move the fire-probability surface bumps env_revision_, which is what
-  // invalidates the armed-defect cache (see Dispatch). The operating point and age setters
+  // invalidates the armed-defect list (see WalkGates). The operating point and age setters
   // skip the bump when the value is unchanged, so offline sweeps that restore the original
   // point and per-tick SetAges calls only invalidate when something actually moved.
   void set_operating_point(OperatingPoint point) {
@@ -115,12 +109,13 @@ class SimCore {
   SimTime age() const { return age_; }
 
   // Monotonic revision of every input to the fire-probability surface (operating point, DVFS
-  // curve, age, defect set). The dispatch fast path re-arms when it observes a new value;
+  // curve, age, defect set). The gate's fast walk re-arms when it observes a new value;
   // exposed so tests can assert cache invalidation.
   uint64_t env_revision() const { return env_revision_; }
 
-  // Per-core override of the dispatch fast path (captured from DispatchFastPathEnabled() at
-  // construction). The reference path recomputes the environment and FireProbability per op.
+  // Which walk the defect gate takes (on by default). The fast walk reads the armed list; the
+  // reference walk recomputes the environment and calls Defect::ShouldFire per defect per op.
+  // Both draw identically, so this is a test and bench seam: set it before the core runs.
   void set_fast_path(bool enabled) { fast_path_ = enabled; }
   bool fast_path() const { return fast_path_; }
 
@@ -176,27 +171,35 @@ class SimCore {
   Environment CurrentEnvironment() const;
 
  private:
-  // One pre-filtered, pre-evaluated defect gate: everything the per-op loop needs without
-  // touching the Defect or recomputing the f/V/T probability surface (three exp() and a
-  // pow() per defect per op on the reference path). Lists are rebuilt lazily whenever
+  // One pre-filtered, pre-evaluated defect gate: everything the fast walk needs without
+  // touching the Defect or recomputing the f/V/T probability surface (three exp() and a pow()
+  // per defect per op on the reference walk). The list is rebuilt lazily whenever
   // env_revision_ moves; dropping never-fire defects here is RNG-stream neutral because
   // Defect::ShouldFire short-circuits before its Bernoulli draw for exactly those defects.
   struct ArmedDefect {
     uint64_t opcode_mask = 0;
     DataTrigger trigger;
     double probability = 0.0;  // FireProbability in the cached environment; always > 0
-    double machine_check_fraction = 0.0;
+    uint16_t index = 0;        // into defects_
+    ExecUnit unit = ExecUnit::kIntAlu;
     DefectEffect effect = DefectEffect::kBitFlip;
-    uint16_t index = 0;  // into defects_
   };
 
-  // Computes correct-result bookkeeping and (for defective cores) runs the defect gates.
-  // `result`/`size` point at the already-computed correct result bytes.
-  void Dispatch(const OpInfo& op, uint8_t* result, size_t size);
+  bool Afflicted(ExecUnit unit) const {
+    return (afflicted_units_ >> static_cast<unsigned>(unit)) & 1u;
+  }
 
-  // Armed-defect list for `unit` under the current environment; re-arms if stale.
-  const std::vector<ArmedDefect>& ArmedForUnit(ExecUnit unit);
+  // The defect gate: walks the defects on `op.unit` in defects_ order and calls
+  // `fire(defect)` for each whose gate passes; `fire` returns true to stop the walk. An rcon
+  // op consults only kRconCorrupt defects, filtered before any draw.
+  template <typename Fire>
+  void WalkGates(const OpInfo& op, Fire&& fire);
   void RearmDefects();
+
+  // Counts the op and, for an afflicted unit, runs the gate with the byte-result fire body:
+  // a firing escalates to a machine check with the defect's fraction, else it corrupts the
+  // `size` bytes at `result` (the already-computed correct result).
+  void Dispatch(const OpInfo& op, uint8_t* result, size_t size);
 
   // Records one defect firing with the attached flight recorder, if any.
   void TraceFire(ExecUnit unit, bool machine_check);
@@ -205,8 +208,7 @@ class SimCore {
   Rng rng_;
   std::vector<Defect> defects_;
   uint8_t* health_slot_ = nullptr;  // write-through healthy() mirror, see BindHealthSlot
-  // Indices into defects_ by unit, so healthy units skip the gate loop.
-  std::array<std::vector<uint16_t>, kExecUnitCount> defects_by_unit_;
+  uint16_t afflicted_units_ = 0;     // bit u set when some defect sits on ExecUnit u
   OperatingPoint point_;
   DvfsCurve dvfs_;
   SimTime age_;
@@ -216,8 +218,8 @@ class SimCore {
   uint64_t provenance_epoch_ = 0;
   TraceRecorder* trace_ = nullptr;
   uint64_t env_revision_ = 1;
-  uint64_t armed_revision_ = 0;  // env_revision_ value the armed lists were built at
-  std::array<std::vector<ArmedDefect>, kExecUnitCount> armed_;
+  uint64_t armed_revision_ = 0;  // env_revision_ value armed_ was built at
+  std::vector<ArmedDefect> armed_;  // in defects_ order
 };
 
 }  // namespace mercurial

@@ -9,7 +9,13 @@ foreach(invocation
         "study --work-units=-1"
         "study --audit-lookback-days=nan"
         "trace --machines=0"
-        "trace --ring-capacity=-1")
+        "trace --ring-capacity=-1"
+        # `trace` shares these flags with `study` and their range checks: an int that would
+        # wrap to a valid value, and a day count whose seconds overflow int64.
+        "trace --machines=20 --days=20 --shards=4294967297"
+        "trace --machines=20 --days=20 --shards=4294967296"
+        "trace --machines=20 --days=20 --threads=4294967297"
+        "trace --days=-106751991167301")
   separate_arguments(args UNIX_COMMAND "${invocation}")
   execute_process(
       COMMAND ${MERCURIALCTL} ${args}

@@ -291,18 +291,14 @@ TEST(DeterminismTest, ExcessThreadsClampToShardCount) {
 
 // --- D5: fast-path equivalence ---------------------------------------------------------------
 
-// Restores the process-wide fast-path default on scope exit. SimCore captures the flag at
-// construction, so the value must be set before FleetStudy's constructor builds the fleet.
-class ScopedFastPath {
- public:
-  explicit ScopedFastPath(bool enabled) : previous_(DispatchFastPathEnabled()) {
-    SetDispatchFastPath(enabled);
-  }
-  ~ScopedFastPath() { SetDispatchFastPath(previous_); }
-
- private:
-  bool previous_;
-};
+// Runs a study with every core's defect gate on the fast or the reference walk. The walk is a
+// per-core seam, so it is set on the built fleet before Run().
+StudyReport RunStudyOnWalk(const StudyOptions& options, bool fast_path) {
+  FleetStudy study(options);
+  study.fleet().ForEachCore(
+      [fast_path](uint64_t, SimCore& core) { core.set_fast_path(fast_path); });
+  return study.Run();
+}
 
 // Smaller than HarnessOptions (the matrix below runs 8 studies per seed) but still exercising
 // production symptoms, screening sweeps, quarantine, and — with `chaos` — the whole resilient
@@ -337,16 +333,13 @@ StudyOptions FastPathHarness(uint64_t seed, bool chaos, int threads) {
 
 void ExpectFastPathMatchesReference(bool chaos) {
   for (const uint64_t seed : {uint64_t{7}, uint64_t{20210531}, uint64_t{424242}}) {
-    StudyReport reference;
-    {
-      ScopedFastPath off(false);
-      reference = RunStudy(FastPathHarness(seed, chaos, /*threads=*/1));
-    }
+    const StudyReport reference =
+        RunStudyOnWalk(FastPathHarness(seed, chaos, /*threads=*/1), /*fast_path=*/false);
     for (const int threads : {1, 2, 8}) {
-      ScopedFastPath on(true);
       SCOPED_TRACE("seed=" + std::to_string(seed) + " chaos=" + (chaos ? "high" : "off") +
                    " threads=" + std::to_string(threads));
-      const StudyReport fast = RunStudy(FastPathHarness(seed, chaos, threads));
+      const StudyReport fast =
+          RunStudyOnWalk(FastPathHarness(seed, chaos, threads), /*fast_path=*/true);
       ExpectReportsEqual(reference, fast);
     }
   }

@@ -3,7 +3,10 @@
 #include <bit>
 #include <cmath>
 #include <cstring>
+#include <iterator>
 #include <set>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -548,6 +551,187 @@ TEST(SimCoreTest, DispatchCacheInvalidatedByOperatingPoint) {
 
   core.set_operating_point(OperatingPoint{});
   EXPECT_NE(core.Alu(AluOp::kAdd, 1, 1), 2u) << "cache must re-arm again on restore";
+}
+
+// --- Walk equivalence ----------------------------------------------------------------------
+// The defect gate walks either the armed list (fast) or Defect::ShouldFire over every defect
+// (reference). The walks must draw identically op for op: twin cores with the same id, seed
+// and defects, one per walk, run one random op stream through every gated entry point.
+
+// Every catalog class at rates high enough that gates pass often, interleaved with the defects
+// the armed list drops or filters: a zero opcode mask, an unsatisfiable trigger, a latent
+// defect the stream ages past, and AES defects with and without the rcon effect.
+std::vector<DefectSpec> WalkTestDefects(uint64_t seed) {
+  CatalogOptions catalog;
+  catalog.log10_rate_min = -2.0;
+  catalog.log10_rate_max = -0.3;
+  catalog.max_machine_check_fraction = 0.5;
+  Rng rng(seed);
+
+  DefectSpec zero_mask = AlwaysFire(ExecUnit::kIntAlu, DefectEffect::kBitFlip);
+  zero_mask.opcode_mask = 0;
+  DefectSpec unsatisfiable = AlwaysFire(ExecUnit::kIntMul, DefectEffect::kRandomWrong);
+  unsatisfiable.trigger = DataTrigger{0x0f, 0x10};
+  DefectSpec latent = AlwaysFire(ExecUnit::kStore, DefectEffect::kBitFlip);
+  latent.fvt.base_rate = 0.3;
+  latent.aging.onset = SimTime::Days(400);
+  latent.aging.growth_per_year = 0.5;
+  DefectSpec rcon_any_opcode = AlwaysFire(ExecUnit::kAes, DefectEffect::kRconCorrupt);
+  rcon_any_opcode.fvt.base_rate = 0.2;  // opcode_mask ~0: gates enc/dec rounds too
+  DefectSpec rcon_only = AlwaysFire(ExecUnit::kAes, DefectEffect::kRconCorrupt);
+  rcon_only.opcode_mask = 1ull << kAesOpRcon;
+  rcon_only.fvt.base_rate = 0.4;
+  rcon_only.fvt.temp_slope = 1.0;
+  rcon_only.xor_mask = 0x21;
+  DefectSpec aes_round = AlwaysFire(ExecUnit::kAes, DefectEffect::kRandomWrong);
+  aes_round.fvt.base_rate = 0.1;  // opcode_mask ~0 matches the rcon opcode, effect does not
+  aes_round.machine_check_fraction = 0.3;
+  DefectSpec cas_drop = AlwaysFire(ExecUnit::kAtomic, DefectEffect::kCasDropStore);
+  cas_drop.fvt.base_rate = 0.2;
+  cas_drop.fvt.freq_slope = 1.5;
+  DefectSpec cas_phantom = AlwaysFire(ExecUnit::kAtomic, DefectEffect::kCasPhantomStore);
+  cas_phantom.fvt.base_rate = 0.2;
+  DefectSpec copy_stuck = AlwaysFire(ExecUnit::kCopy, DefectEffect::kStuckSet);
+  copy_stuck.fvt.base_rate = 0.1;
+  copy_stuck.bit_index = 5;
+  copy_stuck.machine_check_fraction = 0.4;
+  const DefectSpec hand_made[] = {zero_mask, unsatisfiable, latent,   rcon_any_opcode, rcon_only,
+                                  aes_round, cas_drop,      cas_phantom, copy_stuck};
+
+  std::vector<DefectSpec> specs;
+  size_t next_hand_made = 0;
+  for (const DefectClass klass : AllDefectClasses()) {
+    specs.push_back(DrawDefect(klass, catalog, rng));
+    if (next_hand_made < std::size(hand_made)) {
+      specs.push_back(hand_made[next_hand_made++]);
+    }
+  }
+  return specs;
+}
+
+uint64_t Bits(double value) {
+  uint64_t bits;
+  std::memcpy(&bits, &value, sizeof(bits));
+  return bits;
+}
+
+// Runs one random op on `core`, chosen and fed by `ops`, and returns what the op produced: its
+// result bytes, the CAS target, and whether a machine check is pending.
+std::vector<uint64_t> RandomOp(SimCore& core, Rng ops) {
+  const uint64_t a = ops.NextU64();
+  const uint64_t b = ops.NextU64();
+  std::vector<uint64_t> out;
+  switch (ops.UniformInt(0, 11)) {
+    case 0:
+      out = {core.Alu(static_cast<AluOp>(ops.UniformInt(0, 7)), a, b)};
+      break;
+    case 1:
+      out = {core.Mul(a, b), core.Div(a, b % 5 == 0 ? 0 : b)};
+      break;
+    case 2:
+      out = {core.Load(a), core.Store(b)};
+      break;
+    case 3: {
+      const Vec128 v = core.Vector(static_cast<VecOp>(ops.UniformInt(0, 4)), {a, b}, {b, a});
+      out = {v.lo, v.hi};
+      break;
+    }
+    case 4:
+      out = {Bits(core.Fp(static_cast<FpOp>(ops.UniformInt(0, 3)), static_cast<double>(a),
+                          static_cast<double>(b % 1000)))};
+      break;
+    case 5:
+    case 6: {
+      AesBlock state;
+      AesBlock key;
+      for (size_t i = 0; i < state.size(); ++i) {
+        state[i] = static_cast<uint8_t>(ops.NextU64());
+        key[i] = static_cast<uint8_t>(ops.NextU64());
+      }
+      const bool last = ops.Bernoulli(0.1);
+      const AesBlock round = ops.Bernoulli(0.5) ? core.AesEnc(state, key, last)
+                                                : core.AesDec(state, key, last);
+      out.assign(round.begin(), round.end());
+      break;
+    }
+    case 7: {
+      uint8_t key[kAesKeyBytes];
+      for (uint8_t& byte : key) {
+        byte = static_cast<uint8_t>(ops.NextU64());
+      }
+      for (const AesBlock& round_key : core.ExpandKey(key).round_keys) {
+        out.insert(out.end(), round_key.begin(), round_key.end());
+      }
+      break;
+    }
+    case 8: {
+      uint8_t data[24];
+      for (uint8_t& byte : data) {
+        byte = static_cast<uint8_t>(ops.NextU64());
+      }
+      out = {core.Crc32Block(static_cast<uint32_t>(a), data, ops.UniformInt(0, sizeof(data)))};
+      break;
+    }
+    case 9:
+    case 10: {
+      uint8_t src[41];
+      uint8_t dst[41] = {};
+      for (uint8_t& byte : src) {
+        byte = static_cast<uint8_t>(ops.NextU64());
+      }
+      const size_t n = ops.UniformInt(0, sizeof(src));
+      core.Copy(dst, src, n);
+      out.assign(dst, dst + n);
+      break;
+    }
+    default: {
+      uint64_t target = a % 4;
+      const bool swapped = core.Cas(target, b % 4, a);
+      out = {swapped, target};
+      break;
+    }
+  }
+  out.push_back(core.TakePendingMachineCheck());
+  return out;
+}
+
+TEST(WalkEquivalenceTest, FastWalkDrawsLikeReferenceWalkOnEveryEntryPoint) {
+  for (const uint64_t seed : {uint64_t{1}, uint64_t{2}, uint64_t{3}, uint64_t{4}, uint64_t{5}}) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    SimCore fast(seed, Rng(seed));
+    SimCore reference(seed, Rng(seed));
+    reference.set_fast_path(false);
+    for (const DefectSpec& spec : WalkTestDefects(seed)) {
+      fast.AddDefect(spec);
+      reference.AddDefect(spec);
+    }
+    const Rng ops(seed ^ 0x0b5);
+    const int kOps = 6000;
+    for (int i = 0; i < kOps; ++i) {
+      if (i == kOps / 3) {
+        for (SimCore* core : {&fast, &reference}) {
+          core->set_operating_point(OperatingPoint{3.2, 85.0});
+        }
+      }
+      if (i == 2 * kOps / 3) {
+        for (SimCore* core : {&fast, &reference}) {
+          core->set_age(SimTime::Days(3 * 365 + 30));  // past every catalog and latent onset
+        }
+      }
+      ASSERT_EQ(RandomOp(fast, ops.Split(i)), RandomOp(reference, ops.Split(i))) << "op " << i;
+    }
+    EXPECT_EQ(fast.counters().ops_per_unit, reference.counters().ops_per_unit);
+    EXPECT_EQ(fast.counters().corruptions, reference.counters().corruptions);
+    EXPECT_EQ(fast.counters().machine_checks, reference.counters().machine_checks);
+    EXPECT_GT(fast.counters().corruptions, 0u);
+    EXPECT_GT(fast.counters().machine_checks, 0u);
+    // The next draw from each core's stream: a probe that always fires and replaces the
+    // result with noise from the stream.
+    const DefectSpec probe = AlwaysFire(ExecUnit::kIntAlu, DefectEffect::kRandomWrong);
+    fast.AddDefect(probe);
+    reference.AddDefect(probe);
+    EXPECT_EQ(fast.Alu(AluOp::kAdd, 1, 2), reference.Alu(AluOp::kAdd, 1, 2));
+  }
 }
 
 // --- Catalog -------------------------------------------------------------------------------

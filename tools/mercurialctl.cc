@@ -542,7 +542,7 @@ int CmdRecover(int argc, const char* const* argv) {
 int CmdTrace(int argc, const char* const* argv) {
   FlagSet flags;
   flags.DefineUint("machines", 200, "fleet size in machines");
-  flags.DefineInt("days", 180, "simulated study duration");
+  flags.DefineDouble("days", 180, "simulated study duration");
   flags.DefineInt("seed", 42, "master seed (fixes the whole study)");
   flags.DefineDouble("multiplier", 150.0, "mercurial-core rate multiplier over product rates");
   flags.DefineInt("threads", 1, "worker threads for the sharded parallel engine");
@@ -564,26 +564,29 @@ int CmdTrace(int argc, const char* const* argv) {
     return 1;
   }
 
+  // The flags `trace` shares with `study` go through the study table's range checks.
   StudyOptions options = CliStudyDefaults();
-  options.seed = static_cast<uint64_t>(flags.GetInt("seed"));
-  options.fleet.machine_count = flags.GetUint("machines");
-  options.fleet.mercurial_rate_multiplier = flags.GetDouble("multiplier");
-  options.duration = SimTime::Days(flags.GetInt("days"));
   options.screening.offline_period = SimTime::Days(30);
-  options.threads = static_cast<int>(flags.GetInt("threads"));
-  options.shards = static_cast<int>(flags.GetInt("shards"));
-  options.audit.enabled = flags.GetBool("audit");
   options.trace.enabled = true;
   options.trace.ring_capacity = flags.GetUint("ring-capacity");
-  if (Status bad = options.Validate(); !bad.ok()) {
+  Status bad;
+  for (const char* name : {"seed", "machines", "multiplier", "days", "threads", "shards"}) {
+    if (bad.ok()) {
+      bad = ApplyStudyFlag(flags, name, &options);
+    }
+  }
+  options.audit.enabled = flags.GetBool("audit");
+  if (bad.ok()) {
+    bad = options.Validate();
+  }
+  if (!bad.ok()) {
     std::fprintf(stderr, "%s\n", bad.ToString().c_str());
     return 1;
   }
 
   FleetStudy study(options);
-  std::printf("fleet: %zu machines / %zu cores, %lld days, seed %llu\n",
-              study.fleet().machine_count(), study.fleet().core_count(),
-              static_cast<long long>(flags.GetInt("days")),
+  std::printf("fleet: %zu machines / %zu cores, %g days, seed %llu\n",
+              study.fleet().machine_count(), study.fleet().core_count(), flags.GetDouble("days"),
               static_cast<unsigned long long>(options.seed));
   const StudyReport report = study.Run();
 
