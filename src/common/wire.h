@@ -6,183 +6,427 @@
 // RestoreCheckpoint) and the journal's argv manifest. So there is one wire convention —
 // fixed-width little-endian integers, doubles as their IEEE-754 bit patterns (bit-exact round
 // trips: the recovered study must be bit-identical, so "close" is data loss), and
-// length-prefixed blobs (PutBlob / GetBlob) — and one bounds-checked reader, which fails with
-// DATA_LOSS instead of reading past a truncated payload.
+// length-prefixed blobs — and one bounds-checked reader, which fails with DATA_LOSS instead of
+// reading past a truncated payload.
+//
+// One walk per record. A durable record states its field order once, as a walk that both
+// directions run:
+//
+//   template <class Wire, RecordOf<Pending> P>
+//   friend void Walk(Wire& w, P& p) { w(p.core_global, p.machine, p.score, p.attempts); }
+//
+// ByteWriter runs it to encode (P is const), ByteReader runs the same walk to decode, so the
+// two cannot drift apart. `w.Check(holds, what)` in a walk states an invariant: the reader
+// refuses a record that breaks it, the writer ignores it. How each field type is carried:
+//   bool                      u8, 0 or 1
+//   uint8/32/64, int64        fixed width;  double: its IEEE-754 bits
+//   int                       i64; the reader refuses a value an int cannot hold
+//   enum                      u8; the reader refuses a value >= EnumCount(E{}), a function
+//                             declared next to each enum and found by argument lookup
+//   SimTime                   i64 seconds;  Rng: its five state words
+//   T[N], std::array<T, N>    N elements, no count
+//   std::vector<T>            u32 count, then the elements
+//   (unordered_)map, unordered_set
+//                             u32 count, then (key, value) / key in ascending key order; the
+//                             reader refuses keys that do not strictly ascend
+//   std::tuple<T&...>         each element in turn (a unit's DurableFields)
+//   a durable unit            its own Save/LoadDurableState payload (a unit nested in another)
+//   anything else             a record, through its Walk
+//
+// ByteReader has one error model. Reads return values. The first failure — truncation, an
+// out-of-range bool, int or enum, a count the remaining bytes cannot hold, or a walk's Check —
+// is sticky: the reader keeps that message, skips to its end, and every later read returns
+// zero. So a decoder reads everything into temporaries, asks ok() once, and commits only then;
+// nothing it read after the failure is ever acted on.
 
 #ifndef MERCURIAL_SRC_COMMON_WIRE_H_
 #define MERCURIAL_SRC_COMMON_WIRE_H_
 
+#include <algorithm>
+#include <array>
 #include <bit>
+#include <concepts>
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <map>
 #include <span>
+#include <tuple>
+#include <type_traits>
+#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "src/common/logging.h"
+#include "src/common/rng.h"
+#include "src/common/sim_time.h"
 #include "src/common/status.h"
 
 namespace mercurial {
+
+static_assert(std::endian::native == std::endian::little,
+              "wire codec copies integers in host order, so it assumes a little-endian host");
+
+class ByteWriter;
+class ByteReader;
+
+// Constrains a record's Walk to the record, const (encoding) or not (decoding).
+template <class S, class T>
+concept RecordOf = std::same_as<std::remove_const_t<S>, T>;
+
+// A durable unit (SaveDurableState / LoadDurableState) nested inside another unit's payload.
+template <class T>
+concept DurableUnit = requires(const T& unit, T& target, ByteWriter& w, ByteReader& r) {
+  unit.SaveDurableState(w);
+  { target.LoadDurableState(r) } -> std::same_as<Status>;
+};
+
+// The fewest bytes a walked T can take on the wire: what a default-constructed T encodes to
+// (empty sequences, so their counts alone). ByteReader::Count divides by it.
+template <class T>
+size_t WireMinBytes();
 
 class ByteWriter {
  public:
   explicit ByteWriter(std::vector<uint8_t>& out) : out_(out) {}
 
   void PutU8(uint8_t v) { out_.push_back(v); }
-
-  // Bulk resize + memcpy instead of per-byte push_back: the journal serializes the full
-  // controller state every tick for its dirty check, so integer encoding is the hot loop of
-  // durability. memcpy of the in-memory representation is only correct on a little-endian
-  // host; the static_assert guards that assumption rather than paying for a runtime byte
-  // swap nobody needs.
-  void PutU32(uint32_t v) {
-    static_assert(std::endian::native == std::endian::little,
-                  "wire codec assumes a little-endian host");
-    const size_t at = out_.size();
-    out_.resize(at + 4);
-    std::memcpy(out_.data() + at, &v, 4);
-  }
-
-  void PutU64(uint64_t v) {
-    static_assert(std::endian::native == std::endian::little,
-                  "wire codec assumes a little-endian host");
-    const size_t at = out_.size();
-    out_.resize(at + 8);
-    std::memcpy(out_.data() + at, &v, 8);
-  }
-
-  void PutI64(int64_t v) { PutU64(static_cast<uint64_t>(v)); }
-
-  // IEEE-754 bit pattern: the round trip is exact, including -0.0 and NaN payloads.
-  void PutDouble(double v) { PutU64(std::bit_cast<uint64_t>(v)); }
-
-  void PutBool(bool v) { PutU8(v ? 1 : 0); }
+  void PutU32(uint32_t v) { PutFixed(v); }
+  void PutU64(uint64_t v) { PutFixed(v); }
 
   void PutBytes(std::span<const uint8_t> bytes) {
     out_.insert(out_.end(), bytes.begin(), bytes.end());
   }
 
-  // Length-prefixed blob: u32 byte count, then the bytes. ByteReader::GetBlob reads it back.
+  // Length-prefixed blob: u32 byte count, then the bytes. ByteReader::Blob reads it back.
   void PutBlob(std::span<const uint8_t> bytes) {
-    MERCURIAL_CHECK_LE(bytes.size(), std::numeric_limits<uint32_t>::max());
-    PutU32(static_cast<uint32_t>(bytes.size()));
+    PutCount(bytes.size());
     PutBytes(bytes);
   }
 
-  size_t size() const { return out_.size(); }
+  // Encodes `fields` in order (see the table at the top of this file).
+  template <class... F>
+  void operator()(const F&... fields) {
+    (Put(fields), ...);
+  }
+
+  void Check(bool, const char*) {}
 
  private:
+  // Bulk resize + memcpy instead of per-byte push_back: the journal serializes the full
+  // controller state every tick for its dirty check, so integer encoding is the hot loop of
+  // durability.
+  template <class T>
+  void PutFixed(T v) {
+    const size_t at = out_.size();
+    out_.resize(at + sizeof(T));
+    std::memcpy(out_.data() + at, &v, sizeof(T));
+  }
+
+  void PutCount(size_t n) {
+    MERCURIAL_CHECK_LE(n, std::numeric_limits<uint32_t>::max());
+    PutU32(static_cast<uint32_t>(n));
+  }
+
+  template <class T>
+  void Put(const T& v) {
+    if constexpr (std::is_same_v<T, bool>) {
+      PutU8(v ? 1 : 0);
+    } else if constexpr (std::is_enum_v<T>) {
+      PutU8(static_cast<uint8_t>(v));
+    } else if constexpr (std::is_same_v<T, int>) {
+      PutFixed(static_cast<int64_t>(v));
+    } else if constexpr (std::is_arithmetic_v<T>) {
+      PutFixed(v);
+    } else if constexpr (std::is_same_v<T, SimTime>) {
+      PutFixed(v.seconds());
+    } else if constexpr (std::is_same_v<T, Rng>) {
+      uint64_t words[Rng::kStateWords];
+      v.SaveState(words);
+      for (uint64_t word : words) {
+        PutFixed(word);
+      }
+    } else if constexpr (DurableUnit<T>) {
+      v.SaveDurableState(*this);
+    } else {
+      Walk(*this, v);
+    }
+  }
+
+  template <class T, size_t N>
+  void Put(const T (&v)[N]) {
+    for (const T& e : v) Put(e);
+  }
+
+  template <class T, size_t N>
+  void Put(const std::array<T, N>& v) {
+    for (const T& e : v) Put(e);
+  }
+
+  template <class T>
+  void Put(const std::vector<T>& v) {
+    PutCount(v.size());
+    for (const T& e : v) Put(e);
+  }
+
+  template <class K, class V>
+  void Put(const std::map<K, V>& m) {
+    PutCount(m.size());
+    for (const auto& [key, value] : m) {
+      Put(key);
+      Put(value);
+    }
+  }
+
+  // Hash order is a function of insertion history, which a recovered process does not share,
+  // so hashed containers go out in key order.
+  template <class K, class V>
+  void Put(const std::unordered_map<K, V>& m) {
+    std::vector<const std::pair<const K, V>*> entries;
+    entries.reserve(m.size());
+    for (const auto& e : m) entries.push_back(&e);
+    std::sort(entries.begin(), entries.end(),
+              [](const auto* a, const auto* b) { return a->first < b->first; });
+    PutCount(entries.size());
+    for (const auto* e : entries) {
+      Put(e->first);
+      Put(e->second);
+    }
+  }
+
+  template <class K>
+  void Put(const std::unordered_set<K>& s) {
+    std::vector<K> keys(s.begin(), s.end());
+    std::sort(keys.begin(), keys.end());
+    Put(keys);
+  }
+
+  template <class... T>
+  void Put(const std::tuple<T...>& fields) {
+    std::apply([this](const auto&... f) { (Put(f), ...); }, fields);
+  }
+
   std::vector<uint8_t>& out_;
 };
+
+template <class T>
+size_t WireMinBytes() {
+  static const size_t bytes = [] {
+    std::vector<uint8_t> out;
+    ByteWriter w(out);
+    w(T{});
+    return std::max<size_t>(out.size(), 1);
+  }();
+  return bytes;
+}
 
 class ByteReader {
  public:
   ByteReader() = default;
   ByteReader(const uint8_t* data, size_t size) : data_(data), size_(size) {}
 
-  Status GetU8(uint8_t* v) {
-    if (pos_ + 1 > size_) {
-      return DataLossError("wire payload truncated (u8)");
-    }
-    *v = data_[pos_++];
-    return Status::Ok();
-  }
+  uint8_t U8() { return Fixed<uint8_t>(); }
+  uint32_t U32() { return Fixed<uint32_t>(); }
+  uint64_t U64() { return Fixed<uint64_t>(); }
 
-  Status GetU32(uint32_t* v) {
-    if (pos_ + 4 > size_) {
-      return DataLossError("wire payload truncated (u32)");
-    }
-    uint32_t out = 0;
-    for (int i = 0; i < 4; ++i) {
-      out |= static_cast<uint32_t>(data_[pos_ + i]) << (8 * i);
-    }
-    pos_ += 4;
-    *v = out;
-    return Status::Ok();
-  }
-
-  Status GetU64(uint64_t* v) {
-    if (pos_ + 8 > size_) {
-      return DataLossError("wire payload truncated (u64)");
-    }
-    uint64_t out = 0;
-    for (int i = 0; i < 8; ++i) {
-      out |= static_cast<uint64_t>(data_[pos_ + i]) << (8 * i);
-    }
-    pos_ += 8;
-    *v = out;
-    return Status::Ok();
-  }
-
-  Status GetI64(int64_t* v) {
-    uint64_t raw = 0;
-    if (Status s = GetU64(&raw); !s.ok()) {
-      return s;
-    }
-    *v = static_cast<int64_t>(raw);
-    return Status::Ok();
-  }
-
-  Status GetDouble(double* v) {
-    uint64_t raw = 0;
-    if (Status s = GetU64(&raw); !s.ok()) {
-      return s;
-    }
-    *v = std::bit_cast<double>(raw);
-    return Status::Ok();
-  }
-
-  Status GetBool(bool* v) {
-    uint8_t raw = 0;
-    if (Status s = GetU8(&raw); !s.ok()) {
-      return s;
-    }
-    if (raw > 1) {
-      return DataLossError("wire bool out of range");
-    }
-    *v = raw != 0;
-    return Status::Ok();
-  }
-
-  // Sets `*out` to a reader over the next `n` bytes and advances past them.
-  Status GetBytes(size_t n, ByteReader* out) {
+  // A reader over the next `n` bytes, which this one skips. When fewer remain (or this reader
+  // already failed) both fail, so a decoder handed the sub-reader stops at once.
+  ByteReader Bytes(size_t n) {
     if (n > remaining()) {
-      return DataLossError("wire payload truncated (bytes)");
+      Fail("wire payload truncated");
     }
-    *out = ByteReader(data_ + pos_, n);
+    ByteReader sub;
+    if (!ok()) {
+      sub.error_ = error_;
+      return sub;
+    }
+    sub = ByteReader(data_ + pos_, n);
     pos_ += n;
+    return sub;
+  }
+
+  // Reads a PutBlob; the returned reader spans exactly the blob.
+  ByteReader Blob() { return Bytes(U32()); }
+
+  // The one bounded count read: a count of elements that each take at least
+  // `min_element_bytes` is refused unless the remaining bytes can hold them all, so no count
+  // from the wire sizes an allocation before it has been checked against the payload.
+  template <class W = uint32_t>
+  W Count(size_t min_element_bytes) {
+    const W n = Fixed<W>();
+    if (n > remaining() / min_element_bytes) {
+      Fail("wire count exceeds the payload");
+      return 0;
+    }
+    return n;
+  }
+
+  // Decodes into `fields` in order (see the table at the top of this file).
+  template <class... F>
+  void operator()(F&... fields) {
+    (Get(fields), ...);
+  }
+
+  // Fails the reader with `what` (a string literal) unless `holds`.
+  void Check(bool holds, const char* what) {
+    if (!holds) {
+      Fail(what);
+    }
+  }
+
+  // Decodes a unit's DurableFields into a staged copy and assigns it to the live fields only
+  // if all of it decoded: a refused payload leaves the unit as it was. The copy starts from
+  // the live values, so what a nested unit keeps off the wire (its options) carries over.
+  template <class... T>
+  Status Restore(std::tuple<T&...> live) {
+    std::tuple<T...> staged(live);
+    std::apply(*this, staged);
+    if (!ok()) {
+      return status();
+    }
+    live = std::move(staged);
     return Status::Ok();
   }
 
-  // Reads a PutBlob: the u32 length is checked against what remains, so a corrupt length is
-  // DATA_LOSS, never a read past the payload. `*blob` is bounded to exactly the blob's bytes.
-  Status GetBlob(ByteReader* blob) {
-    uint32_t len = 0;
-    if (Status s = GetU32(&len); !s.ok()) {
-      return s;
+  bool ok() const { return error_ == nullptr; }
+  Status status() const { return ok() ? Status::Ok() : DataLossError(error_); }
+
+  // A payload must be consumed exactly: trailing garbage means the frame was not what the
+  // serializer wrote, and that is loss, not tolerance.
+  Status Finish() const {
+    if (ok() && pos_ != size_) {
+      return DataLossError("wire payload has trailing bytes");
     }
-    return GetBytes(len, blob);
+    return status();
   }
 
   size_t remaining() const { return size_ - pos_; }
 
-  // Every byte the reader spans, whatever has been read: for a GetBlob/GetBytes reader, the
-  // blob itself.
+  // Every byte the reader spans, whatever has been read: for a Blob/Bytes reader, the blob.
   std::span<const uint8_t> bytes() const { return {data_, size_}; }
 
-  // A restored payload must be consumed exactly: trailing garbage means the frame was not
-  // what the serializer wrote, and that is loss, not tolerance.
-  Status ExpectEnd() const {
-    if (pos_ != size_) {
-      return DataLossError("wire payload has trailing bytes");
+ private:
+  // Records the first failure and exhausts the reader.
+  void Fail(const char* what) {
+    if (error_ == nullptr) {
+      error_ = what;
     }
-    return Status::Ok();
+    pos_ = size_;
   }
 
- private:
+  template <class T>
+  T Fixed() {
+    if (sizeof(T) > remaining()) {
+      Fail("wire payload truncated");
+      return T{};
+    }
+    T v{};
+    std::memcpy(&v, data_ + pos_, sizeof(T));
+    pos_ += sizeof(T);
+    return v;
+  }
+
+  template <class T>
+  void Get(T& v) {
+    if constexpr (std::is_same_v<T, bool>) {
+      const uint8_t raw = Fixed<uint8_t>();
+      Check(raw <= 1, "wire bool out of range");
+      v = raw == 1;
+    } else if constexpr (std::is_enum_v<T>) {
+      const uint8_t raw = Fixed<uint8_t>();
+      Check(raw < EnumCount(T{}), "wire enum out of range");
+      v = static_cast<T>(raw);
+    } else if constexpr (std::is_same_v<T, int>) {
+      const int64_t raw = Fixed<int64_t>();
+      Check(raw >= std::numeric_limits<int>::min() && raw <= std::numeric_limits<int>::max(),
+            "wire int out of range");
+      v = static_cast<int>(raw);
+    } else if constexpr (std::is_arithmetic_v<T>) {
+      v = Fixed<T>();
+    } else if constexpr (std::is_same_v<T, SimTime>) {
+      v = SimTime::Seconds(Fixed<int64_t>());
+    } else if constexpr (std::is_same_v<T, Rng>) {
+      uint64_t words[Rng::kStateWords];
+      for (uint64_t& word : words) {
+        word = Fixed<uint64_t>();
+      }
+      v.RestoreState(words);
+    } else if constexpr (DurableUnit<T>) {
+      if (ok() && !v.LoadDurableState(*this).ok()) {
+        Fail("nested durable unit refused its payload");
+      }
+    } else {
+      Walk(*this, v);
+    }
+  }
+
+  template <class T, size_t N>
+  void Get(T (&v)[N]) {
+    for (T& e : v) Get(e);
+  }
+
+  template <class T, size_t N>
+  void Get(std::array<T, N>& v) {
+    for (T& e : v) Get(e);
+  }
+
+  template <class T>
+  void Get(std::vector<T>& v) {
+    v.clear();
+    v.resize(Count(WireMinBytes<T>()));
+    for (T& e : v) Get(e);
+  }
+
+  template <class K, class V>
+  void Get(std::map<K, V>& m) {
+    GetSorted(m);
+  }
+
+  template <class K, class V>
+  void Get(std::unordered_map<K, V>& m) {
+    GetSorted(m);
+  }
+
+  template <class K>
+  void Get(std::unordered_set<K>& s) {
+    GetSorted(s);
+  }
+
+  // Keyed containers: the count, then entries whose keys must strictly ascend (what the
+  // writer emits), so every accepted payload re-encodes to the same bytes.
+  template <class Keyed>
+  void GetSorted(Keyed& c) {
+    using K = typename Keyed::key_type;
+    constexpr bool kHasValue = requires { typename Keyed::mapped_type; };
+    size_t entry_bytes = WireMinBytes<K>();
+    if constexpr (kHasValue) {
+      entry_bytes += WireMinBytes<typename Keyed::mapped_type>();
+    }
+    c.clear();
+    const uint32_t n = Count(entry_bytes);
+    if constexpr (requires { c.reserve(n); }) {
+      c.reserve(n);
+    }
+    K previous{};
+    for (uint32_t i = 0; i < n && ok(); ++i) {
+      K key{};
+      Get(key);
+      Check(i == 0 || previous < key, "wire keys out of order");
+      previous = key;
+      if constexpr (kHasValue) {
+        typename Keyed::mapped_type value{};
+        Get(value);
+        c.emplace(key, std::move(value));
+      } else {
+        c.insert(key);
+      }
+    }
+  }
+
   const uint8_t* data_ = nullptr;
   size_t size_ = 0;
   size_t pos_ = 0;
+  const char* error_ = nullptr;
 };
 
 }  // namespace mercurial

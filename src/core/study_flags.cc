@@ -259,23 +259,18 @@ std::vector<uint8_t> EncodeArgvManifest(int argc, const char* const* argv) {
 
 Status DecodeArgvManifest(const std::vector<uint8_t>& bytes, std::vector<std::string>* out) {
   ByteReader r(bytes.data(), bytes.size());
-  uint32_t count = 0;
-  if (Status s = r.GetU32(&count); !s.ok()) {
+  std::vector<std::string> args(r.Count(4));
+  for (std::string& arg : args) {
+    const std::span<const uint8_t> chars = r.Blob().bytes();
+    r.Check(std::find(chars.begin(), chars.end(), 0) == chars.end(),
+            "manifest argv entry holds a NUL byte");
+    arg.assign(chars.begin(), chars.end());
+  }
+  if (Status s = r.Finish(); !s.ok()) {
     return s;
   }
-  out->clear();
-  for (uint32_t i = 0; i < count; ++i) {
-    ByteReader arg;
-    if (Status s = r.GetBlob(&arg); !s.ok()) {
-      return s;
-    }
-    const std::span<const uint8_t> chars = arg.bytes();
-    if (std::find(chars.begin(), chars.end(), 0) != chars.end()) {
-      return DataLossError("manifest argv entry holds a NUL byte");
-    }
-    out->emplace_back(chars.begin(), chars.end());
-  }
-  return r.ExpectEnd();
+  *out = std::move(args);
+  return Status::Ok();
 }
 
 }  // namespace mercurial

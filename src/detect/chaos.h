@@ -15,6 +15,7 @@
 #define MERCURIAL_SRC_DETECT_CHAOS_H_
 
 #include <cstdint>
+#include <tuple>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -106,10 +107,14 @@ struct ChaosStats {
   uint64_t probation_signals_suppressed = 0;  // shadow-screen confessions swallowed in flight
 };
 
-// Wire round trip for a ChaosStats block, shared by the serializers that embed one (the
-// control plane's and repair orchestrator's durable-state codecs).
-void SaveChaosStatsWire(ByteWriter& w, const ChaosStats& stats);
-Status LoadChaosStatsWire(ByteReader& r, ChaosStats* stats);
+// A ChaosStats block's wire walk (src/common/wire.h), embedded by the chaos injector's, the
+// control plane's and the repair orchestrator's durable state.
+template <class Wire, RecordOf<ChaosStats> S>
+void Walk(Wire& w, S& s) {
+  w(s.reports_dropped, s.reports_delayed, s.reports_duplicated, s.interrogations_aborted,
+    s.machine_restarts, s.reverify_misses, s.defective_repairs, s.partial_repairs,
+    s.witnesses_lied, s.witnesses_crashed, s.probation_signals_suppressed);
+}
 
 class ChaosInjector {
  public:
@@ -174,7 +179,18 @@ class ChaosInjector {
     SimTime due;
     uint64_t seq = 0;  // injection order, for a deterministic tie-break on equal due times
     Signal signal;
+
+    template <class Wire, RecordOf<DelayedSignal> D>
+    friend void Walk(Wire& w, D& d) {
+      w(d.due, d.seq, d.signal.time, d.signal.machine, d.signal.core_global, d.signal.type);
+    }
   };
+
+  // The durable state in wire order: SaveDurableState writes it, LoadDurableState restores it.
+  template <class Self>
+  static auto DurableFields(Self& self) {
+    return std::tie(self.rng_, self.stats_, self.next_seq_, self.delayed_);
+  }
 
   ChaosOptions options_;
   Rng rng_;

@@ -486,147 +486,10 @@ std::vector<QuarantineVerdict> QuarantineControlPlane::Tick(SimTime now, SimTime
   return verdicts;
 }
 
-void QuarantineControlPlane::SaveDurableState(ByteWriter& w) const {
-  uint64_t rng_state[Rng::kStateWords];
-  control_rng_.SaveState(rng_state);
-  for (uint64_t word : rng_state) {
-    w.PutU64(word);
-  }
-  w.PutU64(stats_.suspects_admitted);
-  w.PutU64(stats_.suspects_shed);
-  w.PutU64(stats_.queue_peak);
-  w.PutU64(stats_.retries_scheduled);
-  w.PutU64(stats_.retry_interrogations);
-  w.PutU64(stats_.drain_escalations);
-  w.PutU64(stats_.guardrail_activations);
-  w.PutU64(stats_.guardrail_releases);
-  w.PutU64(stats_.screening_deferrals);
-  w.PutU64(stats_.restarts_reset);
-  w.PutU64(stats_.peak_pending_isolation);
-  w.PutDouble(stats_.pending_isolation_core_seconds);
-  w.PutU64(stats_.pending_at_end);
-  w.PutU64(stats_.probation_pending_at_end);
-  SaveQuorumStatsWire(w, stats_.quorum);
-  SaveChaosStatsWire(w, stats_.chaos);
-  w.PutU32(static_cast<uint32_t>(pending_.size()));
-  for (const Pending& p : pending_) {
-    w.PutU64(p.core_global);
-    w.PutU64(p.machine);
-    w.PutDouble(p.score);
-    w.PutI64(p.attempts);
-    w.PutBool(p.draining);
-    w.PutI64(p.drain_done.seconds());
-    w.PutI64(p.next_attempt.seconds());
-  }
-  w.PutU32(static_cast<uint32_t>(probation_.size()));
-  for (const ProbationRecord& p : probation_) {
-    w.PutU64(p.core_global);
-    w.PutU64(p.machine);
-    w.PutI64(p.entered.seconds());
-    w.PutI64(p.windows_clean);
-    w.PutI64(p.next_window.seconds());
-    w.PutU32(static_cast<uint32_t>(p.restricted_units.size()));
-    for (ExecUnit unit : p.restricted_units) {
-      w.PutU8(static_cast<uint8_t>(unit));
-    }
-  }
-  manager_.SaveDurableState(w);
-  chaos_.SaveDurableState(w);
-  quorum_.SaveDurableState(w);
-}
+void QuarantineControlPlane::SaveDurableState(ByteWriter& w) const { w(DurableFields(*this)); }
 
 Status QuarantineControlPlane::LoadDurableState(ByteReader& r) {
-  uint64_t rng_state[Rng::kStateWords];
-  for (uint64_t& word : rng_state) {
-    if (Status s = r.GetU64(&word); !s.ok()) {
-      return s;
-    }
-  }
-  ControlPlaneStats stats;
-  if (Status s = r.GetU64(&stats.suspects_admitted); !s.ok()) return s;
-  if (Status s = r.GetU64(&stats.suspects_shed); !s.ok()) return s;
-  if (Status s = r.GetU64(&stats.queue_peak); !s.ok()) return s;
-  if (Status s = r.GetU64(&stats.retries_scheduled); !s.ok()) return s;
-  if (Status s = r.GetU64(&stats.retry_interrogations); !s.ok()) return s;
-  if (Status s = r.GetU64(&stats.drain_escalations); !s.ok()) return s;
-  if (Status s = r.GetU64(&stats.guardrail_activations); !s.ok()) return s;
-  if (Status s = r.GetU64(&stats.guardrail_releases); !s.ok()) return s;
-  if (Status s = r.GetU64(&stats.screening_deferrals); !s.ok()) return s;
-  if (Status s = r.GetU64(&stats.restarts_reset); !s.ok()) return s;
-  if (Status s = r.GetU64(&stats.peak_pending_isolation); !s.ok()) return s;
-  if (Status s = r.GetDouble(&stats.pending_isolation_core_seconds); !s.ok()) return s;
-  if (Status s = r.GetU64(&stats.pending_at_end); !s.ok()) return s;
-  if (Status s = r.GetU64(&stats.probation_pending_at_end); !s.ok()) return s;
-  if (Status s = LoadQuorumStatsWire(r, &stats.quorum); !s.ok()) return s;
-  if (Status s = LoadChaosStatsWire(r, &stats.chaos); !s.ok()) return s;
-  uint32_t count = 0;
-  if (Status s = r.GetU32(&count); !s.ok()) {
-    return s;
-  }
-  std::vector<Pending> pending;
-  pending.reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    Pending p;
-    int64_t attempts = 0;
-    int64_t drain_done = 0;
-    int64_t next_attempt = 0;
-    if (Status s = r.GetU64(&p.core_global); !s.ok()) return s;
-    if (Status s = r.GetU64(&p.machine); !s.ok()) return s;
-    if (Status s = r.GetDouble(&p.score); !s.ok()) return s;
-    if (Status s = r.GetI64(&attempts); !s.ok()) return s;
-    if (Status s = r.GetBool(&p.draining); !s.ok()) return s;
-    if (Status s = r.GetI64(&drain_done); !s.ok()) return s;
-    if (Status s = r.GetI64(&next_attempt); !s.ok()) return s;
-    p.attempts = static_cast<int>(attempts);
-    p.drain_done = SimTime::Seconds(drain_done);
-    p.next_attempt = SimTime::Seconds(next_attempt);
-    pending.push_back(p);
-  }
-  if (Status s = r.GetU32(&count); !s.ok()) {
-    return s;
-  }
-  std::vector<ProbationRecord> probation;
-  probation.reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    ProbationRecord p;
-    int64_t entered = 0;
-    int64_t windows_clean = 0;
-    int64_t next_window = 0;
-    uint32_t unit_count = 0;
-    if (Status s = r.GetU64(&p.core_global); !s.ok()) return s;
-    if (Status s = r.GetU64(&p.machine); !s.ok()) return s;
-    if (Status s = r.GetI64(&entered); !s.ok()) return s;
-    if (Status s = r.GetI64(&windows_clean); !s.ok()) return s;
-    if (Status s = r.GetI64(&next_window); !s.ok()) return s;
-    if (Status s = r.GetU32(&unit_count); !s.ok()) return s;
-    p.entered = SimTime::Seconds(entered);
-    p.windows_clean = static_cast<int>(windows_clean);
-    p.next_window = SimTime::Seconds(next_window);
-    p.restricted_units.reserve(unit_count);
-    for (uint32_t u = 0; u < unit_count; ++u) {
-      uint8_t unit = 0;
-      if (Status s = r.GetU8(&unit); !s.ok()) return s;
-      if (unit >= kExecUnitCount) {
-        return DataLossError("probation restricted unit out of range");
-      }
-      p.restricted_units.push_back(static_cast<ExecUnit>(unit));
-    }
-    probation.push_back(std::move(p));
-  }
-  if (Status s = manager_.LoadDurableState(r); !s.ok()) {
-    return s;
-  }
-  if (Status s = chaos_.LoadDurableState(r); !s.ok()) {
-    return s;
-  }
-  if (Status s = quorum_.LoadDurableState(r); !s.ok()) {
-    return s;
-  }
-  control_rng_.RestoreState(rng_state);
-  stats_ = stats;
-  pending_ = std::move(pending);
-  probation_ = std::move(probation);
-  return Status::Ok();
+  return r.Restore(DurableFields(*this));
 }
 
 void QuarantineControlPlane::ReconcileWithFleet(CoreScheduler& scheduler,

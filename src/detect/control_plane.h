@@ -47,6 +47,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <tuple>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -133,6 +134,16 @@ struct ControlPlaneStats {
   ChaosStats chaos;
 };
 
+// A ControlPlaneStats block's wire walk (src/common/wire.h).
+template <class Wire, RecordOf<ControlPlaneStats> S>
+void Walk(Wire& w, S& s) {
+  w(s.suspects_admitted, s.suspects_shed, s.queue_peak, s.retries_scheduled,
+    s.retry_interrogations, s.drain_escalations, s.guardrail_activations, s.guardrail_releases,
+    s.screening_deferrals, s.restarts_reset, s.peak_pending_isolation,
+    s.pending_isolation_core_seconds, s.pending_at_end, s.probation_pending_at_end, s.quorum,
+    s.chaos);
+}
+
 class QuarantineControlPlane {
  public:
   // `manager_rng` seeds the interrogation stream (same stream the bare QuarantineManager
@@ -214,6 +225,11 @@ class QuarantineControlPlane {
     bool draining = false;     // still vacating; not yet interrogation-eligible
     SimTime drain_done;        // when the graceful drain completes
     SimTime next_attempt;      // earliest time the next battery may run
+
+    template <class Wire, RecordOf<Pending> P>
+    friend void Walk(Wire& w, P& p) {
+      w(p.core_global, p.machine, p.score, p.attempts, p.draining, p.drain_done, p.next_attempt);
+    }
   };
 
   // One weak-evidence conviction held open in restricted service. The ledger is control-plane
@@ -226,7 +242,20 @@ class QuarantineControlPlane {
     int windows_clean = 0;                  // consecutive clean shadow-screen windows
     SimTime next_window;                    // when the next shadow screen is due
     std::vector<ExecUnit> restricted_units; // confessed units barred from placements
+
+    template <class Wire, RecordOf<ProbationRecord> P>
+    friend void Walk(Wire& w, P& p) {
+      w(p.core_global, p.machine, p.entered, p.windows_clean, p.next_window, p.restricted_units);
+    }
   };
+
+  // The durable state in wire order: SaveDurableState writes it, LoadDurableState restores it
+  // whole (nested units included) or, on a refused payload, not at all.
+  template <class Self>
+  static auto DurableFields(Self& self) {
+    return std::tie(self.control_rng_, self.stats_, self.pending_, self.probation_,
+                    self.manager_, self.chaos_, self.quorum_);
+  }
 
   void AdmitSuspects(SimTime now, const std::vector<SuspectCore>& suspects, Fleet& fleet,
                      CoreScheduler& scheduler, CeeReportService& service,

@@ -14,6 +14,7 @@
 #ifndef MERCURIAL_SRC_DETECT_QUARANTINE_H_
 #define MERCURIAL_SRC_DETECT_QUARANTINE_H_
 
+#include <tuple>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -80,6 +81,15 @@ struct QuarantineStats {
   uint64_t false_positive_retirements = 0;  // retired healthy cores
   uint64_t missed_confessions = 0;  // truly mercurial suspects that did not confess
 };
+
+// A QuarantineStats block's wire walk (src/common/wire.h).
+template <class Wire, RecordOf<QuarantineStats> S>
+void Walk(Wire& w, S& s) {
+  w(s.suspects_processed, s.accusations, s.confessions, s.releases, s.retirements,
+    s.recidivism_retirements, s.probation_entries, s.probation_escalations, s.reinstatements,
+    s.interrogation_ops, s.true_positive_retirements, s.false_positive_retirements,
+    s.missed_confessions);
+}
 
 struct QuarantineVerdict {
   uint64_t core_global = 0;
@@ -179,6 +189,13 @@ class QuarantineManager {
   Status LoadDurableState(ByteReader& r);
 
  private:
+  // The durable state in wire order: SaveDurableState writes it, LoadDurableState restores it.
+  template <class Self>
+  static auto DurableFields(Self& self) {
+    return std::tie(self.rng_, self.stats_, self.accusation_counts_, self.failed_units_,
+                    self.retirement_times_);
+  }
+
   QuarantinePolicy policy_;
   ConfessionTester tester_;
   Rng rng_;

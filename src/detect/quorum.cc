@@ -146,47 +146,10 @@ QuorumVerdict QuorumInterrogator::Judge(uint64_t suspect, bool tester_confessed,
   return verdict;
 }
 
-void SaveQuorumStatsWire(ByteWriter& w, const QuorumStats& stats) {
-  w.PutU64(stats.judgments);
-  w.PutU64(stats.votes_cast);
-  w.PutU64(stats.splits);
-  w.PutU64(stats.escalations);
-  w.PutU64(stats.fallbacks);
-  w.PutU64(stats.overrides);
-}
-
-Status LoadQuorumStatsWire(ByteReader& r, QuorumStats* stats) {
-  if (Status s = r.GetU64(&stats->judgments); !s.ok()) return s;
-  if (Status s = r.GetU64(&stats->votes_cast); !s.ok()) return s;
-  if (Status s = r.GetU64(&stats->splits); !s.ok()) return s;
-  if (Status s = r.GetU64(&stats->escalations); !s.ok()) return s;
-  if (Status s = r.GetU64(&stats->fallbacks); !s.ok()) return s;
-  return r.GetU64(&stats->overrides);
-}
-
-void QuorumInterrogator::SaveDurableState(ByteWriter& w) const {
-  uint64_t rng_state[Rng::kStateWords];
-  rng_.SaveState(rng_state);
-  for (uint64_t word : rng_state) {
-    w.PutU64(word);
-  }
-  SaveQuorumStatsWire(w, stats_);
-}
+void QuorumInterrogator::SaveDurableState(ByteWriter& w) const { w(DurableFields(*this)); }
 
 Status QuorumInterrogator::LoadDurableState(ByteReader& r) {
-  uint64_t rng_state[Rng::kStateWords];
-  for (uint64_t& word : rng_state) {
-    if (Status s = r.GetU64(&word); !s.ok()) {
-      return s;
-    }
-  }
-  QuorumStats stats;
-  if (Status s = LoadQuorumStatsWire(r, &stats); !s.ok()) {
-    return s;
-  }
-  rng_.RestoreState(rng_state);
-  stats_ = stats;
-  return Status::Ok();
+  return r.Restore(DurableFields(*this));
 }
 
 }  // namespace mercurial

@@ -26,6 +26,7 @@
 #define MERCURIAL_SRC_DETECT_QUORUM_H_
 
 #include <cstdint>
+#include <tuple>
 
 #include "src/common/rng.h"
 #include "src/common/sim_time.h"
@@ -108,10 +109,12 @@ struct QuorumVerdict {
 uint64_t PackQuorumDetail(const QuorumVerdict& verdict);
 QuorumVerdict UnpackQuorumDetail(uint64_t detail);
 
-// Wire round trip for a QuorumStats block, shared by the serializers that embed one (the
-// control plane's durable-state codec carries its copied QuorumStats).
-void SaveQuorumStatsWire(ByteWriter& w, const QuorumStats& stats);
-Status LoadQuorumStatsWire(ByteReader& r, QuorumStats* stats);
+// A QuorumStats block's wire walk (src/common/wire.h); the control plane's durable state
+// carries its copied QuorumStats too.
+template <class Wire, RecordOf<QuorumStats> S>
+void Walk(Wire& w, S& s) {
+  w(s.judgments, s.votes_cast, s.splits, s.escalations, s.fallbacks, s.overrides);
+}
 
 class QuorumInterrogator {
  public:
@@ -137,6 +140,12 @@ class QuorumInterrogator {
   // One voting round with `quorum_size` witnesses. Returns true if a majority formed.
   bool RunRound(uint64_t suspect, bool tester_confessed, int quorum_size, const Fleet& fleet,
                 const CoreScheduler& scheduler, ChaosInjector& chaos, QuorumVerdict* verdict);
+
+  // The durable state in wire order: SaveDurableState writes it, LoadDurableState restores it.
+  template <class Self>
+  static auto DurableFields(Self& self) {
+    return std::tie(self.rng_, self.stats_);
+  }
 
   QuorumOptions options_;
   Rng rng_;

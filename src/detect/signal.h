@@ -24,6 +24,7 @@ enum class SignalType : uint8_t {
 };
 
 inline constexpr int kSignalTypeCount = 6;
+constexpr int EnumCount(SignalType) { return kSignalTypeCount; }  // wire range check
 
 const char* SignalTypeName(SignalType type);
 

@@ -50,11 +50,12 @@ StatusOr<JournalScan> ScanJournal(const std::vector<uint8_t>& image) {
   while (r.remaining() > 0) {
     const size_t begin = image.size() - r.remaining();
     JournalFrame frame;
-    uint32_t payload_len = 0;
-    uint8_t type = 0;
-    uint32_t stored_crc = 0;
-    if (!r.GetU32(&payload_len).ok() || !r.GetU8(&type).ok() || !r.GetU64(&frame.tick).ok() ||
-        !r.GetBytes(payload_len, &frame.payload).ok() || !r.GetU32(&stored_crc).ok()) {
+    const uint32_t payload_len = r.U32();
+    const uint8_t type = r.U8();
+    frame.tick = r.U64();
+    frame.payload = r.Bytes(payload_len);
+    const uint32_t stored_crc = r.U32();
+    if (!r.ok()) {
       // A clipped body and a bit flip in the length word are indistinguishable here; both end
       // the durable prefix, classified as a torn tail.
       scan.torn_tail = true;
@@ -74,10 +75,9 @@ StatusOr<JournalScan> ScanJournal(const std::vector<uint8_t>& image) {
     return DataLossError("journal has no valid header frame");
   }
   ByteReader header = scan.frames.front().payload;
-  uint32_t magic = 0;
-  uint32_t version = 0;
-  if (!header.GetU32(&magic).ok() || !header.GetU32(&version).ok() || !header.ExpectEnd().ok() ||
-      magic != kJournalMagic || version != kJournalVersion) {
+  const uint32_t magic = header.U32();
+  const uint32_t version = header.U32();
+  if (!header.Finish().ok() || magic != kJournalMagic || version != kJournalVersion) {
     return DataLossError("journal header magic/version mismatch");
   }
   scan.snapshot = scan.frames.size();
@@ -98,14 +98,14 @@ StatusOr<JournalScan> ScanJournal(const std::vector<uint8_t>& image) {
 
 // Reads one unit's PutBlob payload through `load`, which must consume all of it.
 Status LoadBlob(ByteReader& r, const DurabilityManager::LoadFn& load) {
-  ByteReader blob;
-  if (Status s = r.GetBlob(&blob); !s.ok()) {
-    return s;
+  ByteReader blob = r.Blob();
+  if (!r.ok()) {
+    return r.status();
   }
   if (Status s = load(blob); !s.ok()) {
     return s;
   }
-  return blob.ExpectEnd();
+  return blob.Finish();
 }
 
 }  // namespace
@@ -292,58 +292,36 @@ uint64_t DurabilityManager::tick_frames_since_snapshot() const {
 }
 
 Status DurabilityManager::ApplySnapshot(ByteReader r, uint64_t* tick_frames_before) {
-  uint32_t unit_count = 0;
-  if (Status s = r.GetU64(tick_frames_before); !s.ok()) {
-    return s;
-  }
-  if (Status s = r.GetU32(&unit_count); !s.ok()) {
-    return s;
-  }
-  if (unit_count != units_.size()) {
-    return DataLossError("snapshot unit count does not match the registered units");
-  }
+  *tick_frames_before = r.U64();
+  r.Check(r.Count(4) == units_.size(),
+          "snapshot unit count does not match the registered units");
   for (Unit& unit : units_) {
     if (Status s = LoadBlob(r, unit.load); !s.ok()) {
       return s;
     }
   }
-  return r.ExpectEnd();
+  return r.Finish();
 }
 
 Status DurabilityManager::ApplyTickDelta(ByteReader r) {
-  uint32_t full_count = 0;
-  if (Status s = r.GetU32(&full_count); !s.ok()) {
-    return s;
-  }
-  for (uint32_t i = 0; i < full_count; ++i) {
-    uint32_t index = 0;
-    if (Status s = r.GetU32(&index); !s.ok()) {
-      return s;
-    }
-    if (index >= units_.size() || units_[index].is_delta) {
-      return DataLossError("tick frame names an invalid full unit");
-    }
-    if (Status s = LoadBlob(r, units_[index].load); !s.ok()) {
-      return s;
-    }
-  }
-  uint32_t delta_count = 0;
-  if (Status s = r.GetU32(&delta_count); !s.ok()) {
-    return s;
-  }
-  for (uint32_t i = 0; i < delta_count; ++i) {
-    uint32_t index = 0;
-    if (Status s = r.GetU32(&index); !s.ok()) {
-      return s;
-    }
-    if (index >= units_.size() || !units_[index].is_delta) {
-      return DataLossError("tick frame names an invalid delta unit");
-    }
-    if (Status s = LoadBlob(r, units_[index].apply); !s.ok()) {
-      return s;
+  // Full units, then delta units: a count, then (u32 unit index, blob) per entry.
+  for (const bool delta : {false, true}) {
+    const uint32_t count = r.Count(8);
+    for (uint32_t i = 0; i < count && r.ok(); ++i) {
+      const uint32_t index = r.U32();
+      r.Check(index < units_.size() && units_[index].is_delta == delta,
+              delta ? "tick frame names an invalid delta unit"
+                    : "tick frame names an invalid full unit");
+      if (!r.ok()) {
+        break;
+      }
+      const Unit& unit = units_[index];
+      if (Status s = LoadBlob(r, delta ? unit.apply : unit.load); !s.ok()) {
+        return s;
+      }
     }
   }
-  return r.ExpectEnd();
+  return r.Finish();
 }
 
 void DurabilityManager::RebuildCaches() {

@@ -76,14 +76,11 @@ void BlastRadiusLedger::RecordArtifacts(uint64_t core_global, uint64_t epoch, Ar
   artifacts_recorded_ += produced;
   corrupt_recorded_ += corrupt;
   if (log_ops_) {
-    MutationOp op;
-    op.op = 0;
-    op.core_global = core_global;
-    op.epoch = epoch;
-    op.artifact_kind = static_cast<uint8_t>(kind);
-    op.produced = produced;
-    op.corrupt = corrupt;
-    tick_ops_.push_back(op);
+    tick_ops_.push_back({.kind = MutationOp::Kind::kArtifacts,
+                         .core_global = core_global,
+                         .epoch = epoch,
+                         .artifact_kind = kind,
+                         .counts = {produced, corrupt}});
   }
 }
 
@@ -93,11 +90,8 @@ void BlastRadiusLedger::NoteSignal(uint64_t core_global, SimTime time) {
     core.first_signal = time;
     core.has_signal = true;
     if (log_ops_) {
-      MutationOp op;
-      op.op = 1;
-      op.core_global = core_global;
-      op.signal_seconds = time.seconds();
-      tick_ops_.push_back(op);
+      tick_ops_.push_back(
+          {.kind = MutationOp::Kind::kSignal, .core_global = core_global, .signal = time});
     }
   }
 }
@@ -113,25 +107,20 @@ void BlastRadiusLedger::MergeFrom(BlastRadiusLedger& other) {
           if (epoch.counts[k].produced == 0 && epoch.counts[k].corrupt == 0) {
             continue;
           }
-          MutationOp op;
-          op.op = 0;
-          op.core_global = core_global;
-          op.epoch = epoch.epoch;
-          op.artifact_kind = static_cast<uint8_t>(k);
-          op.produced = epoch.counts[k].produced;
-          op.corrupt = epoch.counts[k].corrupt;
-          tick_ops_.push_back(op);
+          tick_ops_.push_back({.kind = MutationOp::Kind::kArtifacts,
+                               .core_global = core_global,
+                               .epoch = epoch.epoch,
+                               .artifact_kind = static_cast<ArtifactKind>(k),
+                               .counts = epoch.counts[k]});
         }
       }
       if (incoming.has_signal) {
         const CoreLedger* existing = Find(core_global);
         if (existing == nullptr || !existing->has_signal ||
             incoming.first_signal < existing->first_signal) {
-          MutationOp op;
-          op.op = 1;
-          op.core_global = core_global;
-          op.signal_seconds = incoming.first_signal.seconds();
-          tick_ops_.push_back(op);
+          tick_ops_.push_back({.kind = MutationOp::Kind::kSignal,
+                               .core_global = core_global,
+                               .signal = incoming.first_signal});
         }
       }
     }
@@ -198,132 +187,53 @@ uint64_t BlastRadiusLedger::CorruptForCore(uint64_t core_global) const {
 }
 
 void BlastRadiusLedger::DrainTickOps(ByteWriter& w) {
-  w.PutU32(static_cast<uint32_t>(tick_ops_.size()));
-  for (const MutationOp& op : tick_ops_) {
-    w.PutU8(op.op);
-    w.PutU64(op.core_global);
-    if (op.op == 0) {
-      w.PutU64(op.epoch);
-      w.PutU8(op.artifact_kind);
-      w.PutU64(op.produced);
-      w.PutU64(op.corrupt);
-    } else {
-      w.PutI64(op.signal_seconds);
-    }
-  }
+  w(tick_ops_);
   tick_ops_.clear();
 }
 
 Status BlastRadiusLedger::ApplyTickOps(ByteReader& r) {
-  uint32_t count = 0;
-  if (Status s = r.GetU32(&count); !s.ok()) {
-    return s;
+  std::vector<MutationOp> ops;
+  r(ops);
+  // RecordArtifacts requires each core's epochs to arrive in non-decreasing order; a log that
+  // breaks it is refused here instead of aborting the replay.
+  std::map<uint64_t, uint64_t> last_epoch;
+  for (const MutationOp& op : ops) {
+    if (op.kind != MutationOp::Kind::kArtifacts || op.counts.produced == 0) {
+      continue;
+    }
+    const auto [last, fresh] = last_epoch.try_emplace(op.core_global, 0);
+    const CoreLedger* core = fresh ? Find(op.core_global) : nullptr;
+    if (core != nullptr && !core->epochs.empty()) {
+      last->second = core->epochs.back().epoch;
+    }
+    r.Check(op.epoch >= last->second, "blast-radius op epochs out of order");
+    last->second = op.epoch;
+  }
+  if (!r.ok()) {
+    return r.status();
   }
   // Replay through the normal recording paths with logging suspended, so the replayed
   // mutations are not re-logged into the next tick frame.
   const bool saved_log = log_ops_;
   log_ops_ = false;
-  for (uint32_t i = 0; i < count; ++i) {
-    uint8_t op = 0;
-    uint64_t core_global = 0;
-    if (Status s = r.GetU8(&op); !s.ok()) {
-      log_ops_ = saved_log;
-      return s;
-    }
-    if (Status s = r.GetU64(&core_global); !s.ok()) {
-      log_ops_ = saved_log;
-      return s;
-    }
-    if (op == 0) {
-      uint64_t epoch = 0;
-      uint8_t kind = 0;
-      uint64_t produced = 0;
-      uint64_t corrupt = 0;
-      Status s = r.GetU64(&epoch);
-      if (s.ok()) s = r.GetU8(&kind);
-      if (s.ok()) s = r.GetU64(&produced);
-      if (s.ok()) s = r.GetU64(&corrupt);
-      if (!s.ok()) {
-        log_ops_ = saved_log;
-        return s;
-      }
-      if (kind >= kArtifactKindCount) {
-        log_ops_ = saved_log;
-        return DataLossError("blast-radius op has artifact kind out of range");
-      }
-      if (corrupt > produced) {
-        log_ops_ = saved_log;
-        return DataLossError("blast-radius op has corrupt > produced");
-      }
-      RecordArtifacts(core_global, epoch, static_cast<ArtifactKind>(kind), produced, corrupt);
-    } else if (op == 1) {
-      int64_t seconds = 0;
-      if (Status s = r.GetI64(&seconds); !s.ok()) {
-        log_ops_ = saved_log;
-        return s;
-      }
-      NoteSignal(core_global, SimTime::Seconds(seconds));
+  for (const MutationOp& op : ops) {
+    if (op.kind == MutationOp::Kind::kArtifacts) {
+      RecordArtifacts(op.core_global, op.epoch, op.artifact_kind, op.counts.produced,
+                      op.counts.corrupt);
     } else {
-      log_ops_ = saved_log;
-      return DataLossError("blast-radius op tag unrecognized");
+      NoteSignal(op.core_global, op.signal);
     }
   }
   log_ops_ = saved_log;
   return Status::Ok();
 }
 
-void BlastRadiusLedger::SaveDurableState(ByteWriter& w) const {
-  w.PutU64(artifacts_recorded_);
-  w.PutU64(corrupt_recorded_);
-  w.PutU32(static_cast<uint32_t>(cores_.size()));
-  for (const auto& [core_global, core] : cores_) {
-    w.PutU64(core_global);
-    w.PutBool(core.has_signal);
-    w.PutI64(core.first_signal.seconds());
-    w.PutU32(static_cast<uint32_t>(core.epochs.size()));
-    for (const EpochArtifacts& epoch : core.epochs) {
-      w.PutU64(epoch.epoch);
-      for (const ArtifactCounts& counts : epoch.counts) {
-        w.PutU64(counts.produced);
-        w.PutU64(counts.corrupt);
-      }
-    }
-  }
-}
+void BlastRadiusLedger::SaveDurableState(ByteWriter& w) const { w(DurableFields(*this)); }
 
 Status BlastRadiusLedger::LoadDurableState(ByteReader& r) {
-  uint64_t artifacts_recorded = 0;
-  uint64_t corrupt_recorded = 0;
-  uint32_t core_count = 0;
-  if (Status s = r.GetU64(&artifacts_recorded); !s.ok()) return s;
-  if (Status s = r.GetU64(&corrupt_recorded); !s.ok()) return s;
-  if (Status s = r.GetU32(&core_count); !s.ok()) return s;
-  std::map<uint64_t, CoreLedger> cores;
-  for (uint32_t i = 0; i < core_count; ++i) {
-    uint64_t core_global = 0;
-    int64_t first_signal = 0;
-    uint32_t epoch_count = 0;
-    CoreLedger core;
-    if (Status s = r.GetU64(&core_global); !s.ok()) return s;
-    if (Status s = r.GetBool(&core.has_signal); !s.ok()) return s;
-    if (Status s = r.GetI64(&first_signal); !s.ok()) return s;
-    if (Status s = r.GetU32(&epoch_count); !s.ok()) return s;
-    core.first_signal = SimTime::Seconds(first_signal);
-    core.epochs.reserve(epoch_count);
-    for (uint32_t e = 0; e < epoch_count; ++e) {
-      EpochArtifacts epoch;
-      if (Status s = r.GetU64(&epoch.epoch); !s.ok()) return s;
-      for (ArtifactCounts& counts : epoch.counts) {
-        if (Status s = r.GetU64(&counts.produced); !s.ok()) return s;
-        if (Status s = r.GetU64(&counts.corrupt); !s.ok()) return s;
-      }
-      core.epochs.push_back(epoch);
-    }
-    cores.emplace(core_global, std::move(core));
+  if (Status s = r.Restore(DurableFields(*this)); !s.ok()) {
+    return s;
   }
-  cores_ = std::move(cores);
-  artifacts_recorded_ = artifacts_recorded;
-  corrupt_recorded_ = corrupt_recorded;
   tick_ops_.clear();
   return Status::Ok();
 }

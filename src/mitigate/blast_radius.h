@@ -22,8 +22,10 @@
 #ifndef MERCURIAL_SRC_MITIGATE_BLAST_RADIUS_H_
 #define MERCURIAL_SRC_MITIGATE_BLAST_RADIUS_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
+#include <tuple>
 #include <vector>
 
 #include "src/common/sim_time.h"
@@ -56,6 +58,7 @@ enum class ArtifactKind : uint8_t {
 };
 
 inline constexpr int kArtifactKindCount = 4;
+constexpr int EnumCount(ArtifactKind) { return kArtifactKindCount; }  // wire range check
 
 const char* ArtifactKindName(ArtifactKind kind);
 
@@ -69,6 +72,12 @@ struct ArtifactCounts {
   uint64_t corrupt = 0;  // ground truth: corrupt at rest (harness accounting only)
 };
 
+template <class Wire, RecordOf<ArtifactCounts> C>
+void Walk(Wire& w, C& c) {
+  w(c.produced, c.corrupt);
+  w.Check(c.corrupt <= c.produced, "artifact counts have corrupt > produced");
+}
+
 class BlastRadiusLedger {
  public:
   // One epoch's artifact production by one core, bucketed by kind.
@@ -78,6 +87,11 @@ class BlastRadiusLedger {
 
     uint64_t produced() const;
     uint64_t corrupt() const;
+
+    template <class Wire, RecordOf<EpochArtifacts> E>
+    friend void Walk(Wire& w, E& e) {
+      w(e.epoch, e.counts);
+    }
   };
 
   // Everything the ledger knows about one core: its per-epoch artifact history (ascending
@@ -87,6 +101,16 @@ class BlastRadiusLedger {
     std::vector<EpochArtifacts> epochs;
     SimTime first_signal;
     bool has_signal = false;
+
+    template <class Wire, RecordOf<CoreLedger> C>
+    friend void Walk(Wire& w, C& c) {
+      w(c.has_signal, c.first_signal, c.epochs);
+      w.Check(std::adjacent_find(c.epochs.begin(), c.epochs.end(),
+                                 [](const EpochArtifacts& a, const EpochArtifacts& b) {
+                                   return a.epoch >= b.epoch;
+                                 }) == c.epochs.end(),
+              "ledger epochs do not ascend");
+    }
   };
 
   // Records `produced` artifacts (of which `corrupt` are wrong at rest) computed by `core`
@@ -126,7 +150,8 @@ class BlastRadiusLedger {
   // delta unit: with the mutation log enabled, every recording — direct RecordArtifacts /
   // NoteSignal calls and the per-core content folded in by MergeFrom — appends a compact op.
   // DrainTickOps serializes and clears the ops accumulated since the last drain (one journal
-  // tick frame's worth); ApplyTickOps replays them through the normal recording paths, so a
+  // tick frame's worth); ApplyTickOps decodes them all, refuses a log whose epochs run
+  // backwards for some core, then replays them through the normal recording paths, so a
   // recovered ledger is bit-identical. Snapshots use the full round trip: the map is already
   // key-sorted, so the bytes are deterministic. Serialize assumes the op buffer was drained at
   // the preceding tick boundary.
@@ -138,15 +163,35 @@ class BlastRadiusLedger {
   Status LoadDurableState(ByteReader& r);
 
  private:
+  // One logged recording. Default-constructed it is a signal op, the shorter encoding, which
+  // is what WireMinBytes must measure to bound an op count.
   struct MutationOp {
-    uint8_t op = 0;  // 0 = artifacts, 1 = signal
+    enum class Kind : uint8_t { kArtifacts = 0, kSignal = 1 };
+    friend constexpr int EnumCount(Kind) { return 2; }
+
+    Kind kind = Kind::kSignal;
     uint64_t core_global = 0;
-    uint64_t epoch = 0;          // artifacts op
-    uint8_t artifact_kind = 0;   // artifacts op
-    uint64_t produced = 0;       // artifacts op
-    uint64_t corrupt = 0;        // artifacts op
-    int64_t signal_seconds = 0;  // signal op
+    uint64_t epoch = 0;                                            // artifacts op
+    ArtifactKind artifact_kind = ArtifactKind::kChecksummedWrite;  // artifacts op
+    ArtifactCounts counts{};                                       // artifacts op
+    SimTime signal{};                                              // signal op
+
+    template <class Wire, RecordOf<MutationOp> Op>
+    friend void Walk(Wire& w, Op& op) {
+      w(op.kind, op.core_global);
+      if (op.kind == Kind::kArtifacts) {
+        w(op.epoch, op.artifact_kind, op.counts);
+      } else {
+        w(op.signal);
+      }
+    }
   };
+
+  // The durable state in wire order: SaveDurableState writes it, LoadDurableState restores it.
+  template <class Self>
+  static auto DurableFields(Self& self) {
+    return std::tie(self.artifacts_recorded_, self.corrupt_recorded_, self.cores_);
+  }
 
   std::map<uint64_t, CoreLedger> cores_;
   uint64_t artifacts_recorded_ = 0;

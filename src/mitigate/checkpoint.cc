@@ -12,10 +12,7 @@ std::vector<uint8_t> SerializeCheckpoint(uint64_t state, const ProvenanceTag& pr
   std::vector<uint8_t> out;
   out.reserve(kCheckpointFrameBytes);
   ByteWriter w(out);
-  w.PutU32(kCheckpointMagic);
-  w.PutU64(provenance.core_global);
-  w.PutU64(provenance.epoch);
-  w.PutU64(state);
+  w(kCheckpointMagic, provenance.core_global, provenance.epoch, state);
   w.PutU32(Crc32(out.data(), out.size()));
   return out;
 }
@@ -26,20 +23,14 @@ StatusOr<uint64_t> RestoreCheckpoint(const std::vector<uint8_t>& bytes,
     return DataLossError("checkpoint frame truncated or oversized");
   }
   ByteReader r(bytes.data(), bytes.size());
-  uint32_t magic = 0;
   ProvenanceTag tag;
   uint64_t state = 0;
-  uint32_t stored_crc = 0;
-  if (Status s = r.GetU32(&magic); !s.ok()) return s;
-  if (magic != kCheckpointMagic) {
-    return DataLossError("checkpoint frame has bad magic");
-  }
-  if (Status s = r.GetU64(&tag.core_global); !s.ok()) return s;
-  if (Status s = r.GetU64(&tag.epoch); !s.ok()) return s;
-  if (Status s = r.GetU64(&state); !s.ok()) return s;
-  if (Status s = r.GetU32(&stored_crc); !s.ok()) return s;
-  if (Crc32(bytes.data(), kCheckpointFrameBytes - 4) != stored_crc) {
-    return DataLossError("checkpoint frame failed integrity check");
+  r.Check(r.U32() == kCheckpointMagic, "checkpoint frame has bad magic");
+  r(tag.core_global, tag.epoch, state);
+  r.Check(r.U32() == Crc32(bytes.data(), kCheckpointFrameBytes - 4),
+          "checkpoint frame failed integrity check");
+  if (!r.ok()) {
+    return r.status();
   }
   if (provenance != nullptr) {
     *provenance = tag;

@@ -33,6 +33,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <tuple>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -113,6 +114,17 @@ struct RepairStats {
   ChaosStats chaos;
 };
 
+// A RepairStats block's wire walk (src/common/wire.h).
+template <class Wire, RecordOf<RepairStats> S>
+void Walk(Wire& w, S& s) {
+  w(s.convictions, s.suspect_epochs, s.suspect_artifacts, s.artifacts_reverified,
+    s.artifacts_reexecuted, s.repair_ops, s.retries_scheduled, s.defective_executor_retries,
+    s.tasks_abandoned, s.epochs_shed, s.artifacts_shed, s.reinstated_epochs_cancelled,
+    s.reinstated_artifacts_cancelled, s.backlog_peak, s.corruptions_found,
+    s.corruptions_repaired, s.corruptions_shed, s.corruptions_missed, s.corruptions_abandoned,
+    s.corruptions_still_at_rest, s.chaos);
+}
+
 class RepairOrchestrator {
  public:
   // `rng` must be a dedicated stream (the study splits it off the master seed); the chaos
@@ -176,7 +188,20 @@ class RepairOrchestrator {
 
     uint64_t remaining_produced() const;
     uint64_t remaining_corrupt() const;
+
+    template <class Wire, RecordOf<Task> T>
+    friend void Walk(Wire& w, T& t) {
+      w(t.core_global, t.epoch, t.remaining, t.attempts, t.next_attempt);
+    }
   };
+
+  // The durable state in wire order: SaveDurableState writes it, LoadDurableState restores it
+  // whole (nested chaos state included) or, on a refused payload, not at all.
+  template <class Self>
+  static auto DurableFields(Self& self) {
+    return std::tie(self.rng_, self.stats_, self.backlog_artifacts_, self.tasks_,
+                    self.enqueued_epochs_, self.chaos_);
+  }
 
   // Runs one pass over `task` with at most `budget` artifact touches. Returns the number of
   // touches consumed. Sets *done when the task has no remaining artifacts and *retry when the

@@ -29,6 +29,7 @@ enum class ExecUnit : uint8_t {
 };
 
 inline constexpr int kExecUnitCount = 11;
+constexpr int EnumCount(ExecUnit) { return kExecUnitCount; }  // wire range check
 
 const char* ExecUnitName(ExecUnit unit);
 

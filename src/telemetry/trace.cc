@@ -202,53 +202,6 @@ IncidentTrace TraceRecorder::Assemble() const {
   return trace;
 }
 
-namespace {
-
-void PutTraceEventWire(ByteWriter& w, const TraceEvent& event) {
-  w.PutI64(event.time_seconds);
-  w.PutU64(event.core);
-  w.PutU64(event.epoch);
-  w.PutU8(static_cast<uint8_t>(event.kind));
-  w.PutU8(static_cast<uint8_t>(event.cause));
-  w.PutU64(event.detail);
-}
-
-Status GetTraceEventWire(ByteReader& r, TraceEvent* event) {
-  uint8_t kind = 0;
-  uint8_t cause = 0;
-  if (Status s = r.GetI64(&event->time_seconds); !s.ok()) return s;
-  if (Status s = r.GetU64(&event->core); !s.ok()) return s;
-  if (Status s = r.GetU64(&event->epoch); !s.ok()) return s;
-  if (Status s = r.GetU8(&kind); !s.ok()) return s;
-  if (Status s = r.GetU8(&cause); !s.ok()) return s;
-  if (Status s = r.GetU64(&event->detail); !s.ok()) return s;
-  if (kind >= kTraceEventKindCount) {
-    return DataLossError("trace event kind out of range");
-  }
-  if (cause >= kTraceCauseCount) {
-    return DataLossError("trace event cause out of range");
-  }
-  event->kind = static_cast<TraceEventKind>(kind);
-  event->cause = static_cast<TraceCause>(cause);
-  return Status::Ok();
-}
-
-void PutTraceCountersWire(ByteWriter& w, const TraceCounters& counters) {
-  w.PutU64(counters.events_emitted);
-  w.PutU64(counters.events_recorded);
-  w.PutU64(counters.events_dropped);
-  w.PutU64(counters.events_sampled_out);
-}
-
-Status GetTraceCountersWire(ByteReader& r, TraceCounters* counters) {
-  if (Status s = r.GetU64(&counters->events_emitted); !s.ok()) return s;
-  if (Status s = r.GetU64(&counters->events_recorded); !s.ok()) return s;
-  if (Status s = r.GetU64(&counters->events_dropped); !s.ok()) return s;
-  return r.GetU64(&counters->events_sampled_out);
-}
-
-}  // namespace
-
 bool TraceRecorder::HasTickOps() const {
   for (const ShardRing& ring : rings_) {
     if (ring.tick_dirty) {
@@ -259,53 +212,32 @@ bool TraceRecorder::HasTickOps() const {
 }
 
 void TraceRecorder::DrainTickOps(ByteWriter& w) {
-  uint32_t dirty = 0;
-  for (const ShardRing& ring : rings_) {
-    if (ring.tick_dirty) {
-      ++dirty;
-    }
-  }
-  w.PutU32(dirty);
+  std::vector<RingDelta> deltas;
   for (size_t shard = 0; shard < rings_.size(); ++shard) {
     ShardRing& ring = rings_[shard];
-    if (!ring.tick_dirty) {
-      continue;
+    if (ring.tick_dirty) {
+      deltas.push_back(
+          {static_cast<uint32_t>(shard), std::move(ring.tick_log), ring.seen, ring.counters});
+      ring.tick_log.clear();
+      ring.tick_dirty = false;
     }
-    w.PutU32(static_cast<uint32_t>(shard));
-    w.PutU32(static_cast<uint32_t>(ring.tick_log.size()));
-    for (const TraceEvent& event : ring.tick_log) {
-      PutTraceEventWire(w, event);
-    }
-    // Absolutes, not deltas: replay overwrites these after applying the inserts, so a
-    // recovered ring's sampling phase and conservation counters match exactly.
-    for (uint64_t seen : ring.seen) {
-      w.PutU64(seen);
-    }
-    PutTraceCountersWire(w, ring.counters);
-    ring.tick_log.clear();
-    ring.tick_dirty = false;
   }
+  w(deltas);
 }
 
 Status TraceRecorder::ApplyTickOps(ByteReader& r) {
-  uint32_t dirty = 0;
-  if (Status s = r.GetU32(&dirty); !s.ok()) {
-    return s;
+  std::vector<RingDelta> deltas;
+  r(deltas);
+  for (size_t i = 0; i < deltas.size(); ++i) {
+    r.Check(deltas[i].shard < rings_.size() && (i == 0 || deltas[i - 1].shard < deltas[i].shard),
+            "trace tick delta names a shard out of range or out of order");
   }
-  for (uint32_t i = 0; i < dirty; ++i) {
-    uint32_t shard = 0;
-    uint32_t inserted = 0;
-    if (Status s = r.GetU32(&shard); !s.ok()) return s;
-    if (shard >= rings_.size()) {
-      return DataLossError("trace tick delta names a shard out of range");
-    }
-    if (Status s = r.GetU32(&inserted); !s.ok()) return s;
-    ShardRing& ring = rings_[shard];
-    for (uint32_t e = 0; e < inserted; ++e) {
-      TraceEvent event;
-      if (Status s = GetTraceEventWire(r, &event); !s.ok()) {
-        return s;
-      }
+  if (!r.ok()) {
+    return r.status();
+  }
+  for (const RingDelta& delta : deltas) {
+    ShardRing& ring = rings_[delta.shard];
+    for (const TraceEvent& event : delta.inserted) {
       if (ring.slots.size() < options_.ring_capacity) {
         ring.slots.push_back(event);
       } else {
@@ -313,72 +245,28 @@ Status TraceRecorder::ApplyTickOps(ByteReader& r) {
         ring.head = (ring.head + 1) % options_.ring_capacity;
       }
     }
-    for (uint64_t& seen : ring.seen) {
-      if (Status s = r.GetU64(&seen); !s.ok()) {
-        return s;
-      }
-    }
-    if (Status s = GetTraceCountersWire(r, &ring.counters); !s.ok()) {
-      return s;
-    }
+    ring.seen = delta.seen;
+    ring.counters = delta.counters;
     ring.tick_log.clear();
     ring.tick_dirty = false;
   }
   return Status::Ok();
 }
 
-void TraceRecorder::SaveDurableState(ByteWriter& w) const {
-  w.PutU32(static_cast<uint32_t>(rings_.size()));
-  for (const ShardRing& ring : rings_) {
-    w.PutU64(static_cast<uint64_t>(ring.head));
-    w.PutU32(static_cast<uint32_t>(ring.slots.size()));
-    for (const TraceEvent& event : ring.slots) {
-      PutTraceEventWire(w, event);
-    }
-    for (uint64_t seen : ring.seen) {
-      w.PutU64(seen);
-    }
-    PutTraceCountersWire(w, ring.counters);
-  }
-}
+void TraceRecorder::SaveDurableState(ByteWriter& w) const { w(rings_); }
 
 Status TraceRecorder::LoadDurableState(ByteReader& r) {
-  uint32_t shard_count = 0;
-  if (Status s = r.GetU32(&shard_count); !s.ok()) {
-    return s;
+  std::vector<ShardRing> rings;
+  r(rings);
+  r.Check(rings.size() == rings_.size(), "trace snapshot shard count does not match the recorder");
+  for (const ShardRing& ring : rings) {
+    r.Check(ring.slots.size() <= options_.ring_capacity,
+            "trace snapshot ring exceeds ring_capacity");
+    r.Check(ring.head < ring.slots.size() || (ring.head == 0 && ring.slots.empty()),
+            "trace snapshot ring head out of range");
   }
-  if (shard_count != rings_.size()) {
-    return DataLossError("trace snapshot shard count does not match the recorder");
-  }
-  std::vector<ShardRing> rings(rings_.size());
-  for (ShardRing& ring : rings) {
-    uint64_t head = 0;
-    uint32_t slot_count = 0;
-    if (Status s = r.GetU64(&head); !s.ok()) return s;
-    if (Status s = r.GetU32(&slot_count); !s.ok()) return s;
-    if (slot_count > options_.ring_capacity) {
-      return DataLossError("trace snapshot ring exceeds ring_capacity");
-    }
-    if (head >= slot_count && !(head == 0 && slot_count == 0)) {
-      return DataLossError("trace snapshot ring head out of range");
-    }
-    ring.head = static_cast<size_t>(head);
-    ring.slots.reserve(slot_count);
-    for (uint32_t e = 0; e < slot_count; ++e) {
-      TraceEvent event;
-      if (Status s = GetTraceEventWire(r, &event); !s.ok()) {
-        return s;
-      }
-      ring.slots.push_back(event);
-    }
-    for (uint64_t& seen : ring.seen) {
-      if (Status s = r.GetU64(&seen); !s.ok()) {
-        return s;
-      }
-    }
-    if (Status s = GetTraceCountersWire(r, &ring.counters); !s.ok()) {
-      return s;
-    }
+  if (!r.ok()) {
+    return r.status();
   }
   rings_ = std::move(rings);
   return Status::Ok();
@@ -388,13 +276,10 @@ std::vector<uint8_t> SerializeTrace(const IncidentTrace& trace) {
   std::vector<uint8_t> out;
   out.reserve(kTraceHeaderBytes + trace.events.size() * kTraceEventBytes + 4);
   ByteWriter w(out);
-  w.PutU32(kTraceMagic);
-  w.PutU32(kTraceVersion);
-  w.PutU32(trace.shards);
-  w.PutU64(trace.events.size());
-  PutTraceCountersWire(w, trace.counters);
+  w(kTraceMagic, kTraceVersion, trace.shards, static_cast<uint64_t>(trace.events.size()),
+    trace.counters);
   for (const TraceEvent& event : trace.events) {
-    PutTraceEventWire(w, event);
+    w(event);
   }
   w.PutU32(Crc32(out.data(), out.size()));
   return out;
@@ -402,36 +287,30 @@ std::vector<uint8_t> SerializeTrace(const IncidentTrace& trace) {
 
 StatusOr<IncidentTrace> ParseTrace(const std::vector<uint8_t>& bytes) {
   ByteReader r(bytes.data(), bytes.size());
-  uint32_t magic = 0;
-  uint32_t version = 0;
-  uint64_t event_count = 0;
   IncidentTrace trace;
-  if (Status s = r.GetU32(&magic); !s.ok()) return s;
-  if (magic != kTraceMagic) {
-    return DataLossError("trace frame corrupt: bad magic");
+  r.Check(r.U32() == kTraceMagic, "trace frame corrupt: bad magic");
+  r.Check(r.U32() == kTraceVersion, "trace frame corrupt: unsupported version");
+  trace.shards = r.U32();
+  const uint64_t event_count = r.Count<uint64_t>(kTraceEventBytes);
+  r(trace.counters);
+  // Exactly the events and the CRC remain.
+  r.Check(r.remaining() == event_count * kTraceEventBytes + 4,
+          "trace frame corrupt: size does not match event count");
+  ByteReader events = r.Bytes(event_count * kTraceEventBytes);
+  const uint32_t stored_crc = r.U32();
+  if (r.ok()) {
+    r.Check(Crc32(bytes.data(), bytes.size() - 4) == stored_crc,
+            "trace frame corrupt: checksum mismatch");
   }
-  if (Status s = r.GetU32(&version); !s.ok()) return s;
-  if (version != kTraceVersion) {
-    return DataLossError("trace frame corrupt: unsupported version");
-  }
-  if (Status s = r.GetU32(&trace.shards); !s.ok()) return s;
-  if (Status s = r.GetU64(&event_count); !s.ok()) return s;
-  if (Status s = GetTraceCountersWire(r, &trace.counters); !s.ok()) return s;
-  // Bounds the count before it sizes anything: exactly the events and the CRC must remain.
-  if (event_count > r.remaining() / kTraceEventBytes ||
-      r.remaining() != event_count * kTraceEventBytes + 4) {
-    return DataLossError("trace frame corrupt: size does not match event count");
-  }
-  ByteReader events;
-  uint32_t stored_crc = 0;
-  if (Status s = r.GetBytes(event_count * kTraceEventBytes, &events); !s.ok()) return s;
-  if (Status s = r.GetU32(&stored_crc); !s.ok()) return s;
-  if (Crc32(bytes.data(), bytes.size() - 4) != stored_crc) {
-    return DataLossError("trace frame corrupt: checksum mismatch");
+  if (!r.ok()) {
+    return r.status();
   }
   trace.events.resize(event_count);
   for (TraceEvent& event : trace.events) {
-    if (Status s = GetTraceEventWire(events, &event); !s.ok()) return s;
+    events(event);
+  }
+  if (!events.ok()) {
+    return events.status();
   }
   return trace;
 }

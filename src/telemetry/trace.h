@@ -57,6 +57,7 @@ enum class TraceEventKind : uint8_t {
   kRiskRescore = 16,         // adaptive screening scored a due core (admitted or deferred)
 };
 inline constexpr size_t kTraceEventKindCount = 17;
+constexpr size_t EnumCount(TraceEventKind) { return kTraceEventKindCount; }  // wire range check
 
 // Why the event happened. One flat namespace across kinds keeps the wire format to a byte;
 // names are scoped by the kind they accompany.
@@ -115,6 +116,7 @@ enum class TraceCause : uint8_t {
   kRiskDeferred = 37,  // budget exhausted; stays due and is re-scored next tick
 };
 inline constexpr size_t kTraceCauseCount = 38;
+constexpr size_t EnumCount(TraceCause) { return kTraceCauseCount; }  // wire range check
 
 const char* TraceEventKindName(TraceEventKind kind);
 const char* TraceCauseName(TraceCause cause);
@@ -131,6 +133,11 @@ struct TraceEvent {
 
   SimTime time() const { return SimTime::Seconds(time_seconds); }
 };
+
+template <class Wire, RecordOf<TraceEvent> E>
+void Walk(Wire& w, E& e) {
+  w(e.time_seconds, e.core, e.epoch, e.kind, e.cause, e.detail);
+}
 
 bool operator==(const TraceEvent& a, const TraceEvent& b);
 
@@ -163,6 +170,11 @@ struct TraceCounters {
   uint64_t events_dropped = 0;
   uint64_t events_sampled_out = 0;
 };
+
+template <class Wire, RecordOf<TraceCounters> C>
+void Walk(Wire& w, C& c) {
+  w(c.events_emitted, c.events_recorded, c.events_dropped, c.events_sampled_out);
+}
 
 bool operator==(const TraceCounters& a, const TraceCounters& b);
 
@@ -225,6 +237,27 @@ class TraceRecorder {
     TraceCounters counters;
     std::vector<TraceEvent> tick_log;  // events inserted since the last DrainTickOps
     bool tick_dirty = false;           // any Emit touched this ring since the last drain
+
+    // The snapshot encoding; the tick log is drained into every snapshot, never part of one.
+    template <class Wire, RecordOf<ShardRing> R>
+    friend void Walk(Wire& w, R& r) {
+      w(r.head, r.slots, r.seen, r.counters);
+    }
+  };
+
+  // One dirty ring's tick-frame entry: the events it inserted, then its absolute seen[] and
+  // counters (replay overwrites these after the inserts, so a recovered ring's sampling phase
+  // and conservation counters match exactly).
+  struct RingDelta {
+    uint32_t shard = 0;
+    std::vector<TraceEvent> inserted;
+    std::array<uint64_t, kTraceEventKindCount> seen{};
+    TraceCounters counters;
+
+    template <class Wire, RecordOf<RingDelta> D>
+    friend void Walk(Wire& w, D& d) {
+      w(d.shard, d.inserted, d.seen, d.counters);
+    }
   };
 
   TraceOptions options_;

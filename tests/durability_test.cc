@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -28,8 +29,8 @@ namespace {
 struct ToyRegister {
   uint64_t value = 0;
 
-  void Save(ByteWriter& w) const { w.PutU64(value); }
-  Status Load(ByteReader& r) { return r.GetU64(&value); }
+  void Save(ByteWriter& w) const { w(value); }
+  Status Load(ByteReader& r) { return r.Restore(std::tie(value)); }
 };
 
 // Delta toy unit: an append-only log with a per-tick op journal, the same shape as the
@@ -44,47 +45,23 @@ struct ToyLog {
   }
   bool HasTickOps() const { return !tick_ops.empty(); }
   void DrainTickOps(ByteWriter& w) {
-    w.PutU32(static_cast<uint32_t>(tick_ops.size()));
-    for (uint64_t v : tick_ops) {
-      w.PutU64(v);
-    }
+    w(tick_ops);
     tick_ops.clear();
   }
   Status ApplyTickOps(ByteReader& r) {
-    uint32_t count = 0;
-    if (Status s = r.GetU32(&count); !s.ok()) {
-      return s;
+    std::vector<uint64_t> ops;
+    r(ops);
+    if (!r.ok()) {
+      return r.status();
     }
-    for (uint32_t i = 0; i < count; ++i) {
-      uint64_t v = 0;
-      if (Status s = r.GetU64(&v); !s.ok()) {
-        return s;
-      }
-      entries.push_back(v);
-    }
+    entries.insert(entries.end(), ops.begin(), ops.end());
     return Status::Ok();
   }
-  void Save(ByteWriter& w) const {
-    w.PutU32(static_cast<uint32_t>(entries.size()));
-    for (uint64_t v : entries) {
-      w.PutU64(v);
-    }
-  }
+  void Save(ByteWriter& w) const { w(entries); }
   Status Load(ByteReader& r) {
-    uint32_t count = 0;
-    if (Status s = r.GetU32(&count); !s.ok()) {
+    if (Status s = r.Restore(std::tie(entries)); !s.ok()) {
       return s;
     }
-    std::vector<uint64_t> loaded;
-    loaded.reserve(count);
-    for (uint32_t i = 0; i < count; ++i) {
-      uint64_t v = 0;
-      if (Status s = r.GetU64(&v); !s.ok()) {
-        return s;
-      }
-      loaded.push_back(v);
-    }
-    entries = std::move(loaded);
     tick_ops.clear();
     return Status::Ok();
   }
@@ -341,9 +318,7 @@ TEST(DurabilityTest, SnapshotTickCountBeyondTheJournalIsDataLoss) {
   // Frames are [u32 payload_len][u8 type][u64 tick][payload][u32 crc]; the header and manifest
   // come first, and a snapshot payload starts with the u64 tick_frames_before.
   const auto payload_len_at = [&image](size_t frame) {
-    uint32_t len = 0;
-    EXPECT_TRUE(ByteReader(image.data() + frame, 4).GetU32(&len).ok());
-    return len;
+    return ByteReader(image.data() + frame, 4).U32();
   };
   size_t snapshot = 0;
   for (int frame = 0; frame < 2; ++frame) {

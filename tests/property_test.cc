@@ -53,6 +53,7 @@
 #include <algorithm>
 #include <cstring>
 #include <map>
+#include <tuple>
 #include <unordered_set>
 #include <utility>
 
@@ -1075,7 +1076,7 @@ TEST(PropertyTest, EveryJournalPrefixRecoversCleanlyOrFailsLoudly) {
     DurabilityManager writer(DurabilityManager::Options{});
     writer.RegisterUnit(
         "toy", [&state](ByteWriter& w) { w.PutU64(state.value); },
-        [&state](ByteReader& r) { return r.GetU64(&state.value); });
+        [&state](ByteReader& r) { return r.Restore(std::tie(state.value)); });
     ASSERT_TRUE(writer.Start(0, {0x42}).ok());
     for (uint64_t tick = 1; tick <= 6; ++tick) {
       state.value = 100 + tick;
@@ -1092,7 +1093,7 @@ TEST(PropertyTest, EveryJournalPrefixRecoversCleanlyOrFailsLoudly) {
     DurabilityManager reader(DurabilityManager::Options{});
     reader.RegisterUnit(
         "toy", [&state](ByteWriter& w) { w.PutU64(state.value); },
-        [&state](ByteReader& r) { return r.GetU64(&state.value); });
+        [&state](ByteReader& r) { return r.Restore(std::tie(state.value)); });
     reader.ReplaceBuffer(std::vector<uint8_t>(image.begin(), image.begin() + len));
     StatusOr<DurabilityManager::RecoveryResult> result = reader.Recover();
     if (result.ok()) {
