@@ -1,10 +1,21 @@
 #include "src/common/sim_time.h"
 
+#include <algorithm>
 #include <cstdio>
 
 #include "src/common/logging.h"
+#include "src/common/rng.h"
 
 namespace mercurial {
+
+SimTime JitteredBackoff(SimTime base, double jitter, int attempts, Rng& rng) {
+  const int shift = std::min(attempts - 1, 20);
+  double delay = static_cast<double>(base.seconds()) * static_cast<double>(uint64_t{1} << shift);
+  if (jitter > 0.0) {
+    delay *= 1.0 + jitter * (2.0 * rng.NextDouble() - 1.0);
+  }
+  return SimTime::Seconds(std::max<int64_t>(1, static_cast<int64_t>(delay)));
+}
 
 std::string SimTime::ToString() const {
   const int64_t total = seconds_;

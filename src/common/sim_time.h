@@ -48,6 +48,13 @@ class SimTime {
   int64_t seconds_;
 };
 
+class Rng;
+
+// Retry backoff of the control plane and repair: attempt k waits base * 2^(k-1) (shift capped
+// at 20), times a factor in [1-j, 1+j] that de-correlates synchronized retries (one draw from
+// `rng` when jitter > 0), floored at one second.
+SimTime JitteredBackoff(SimTime base, double jitter, int attempts, Rng& rng);
+
 // Monotonic simulated clock owned by a simulation loop.
 class SimClock {
  public:

@@ -227,34 +227,35 @@ void FleetStudy::HandleSymptom(SimTime now, uint64_t core_index, Symptom symptom
     return;
   }
   const CoreId id = fleet_.core_id(core_index);
+  const auto emit_signal = [&](SignalType type, MetricId metric_id, TraceCause cause) {
+    delta.signals.push_back(Signal{now, id.machine, core_index, type});
+    delta.metrics.Increment(metric_id);
+    TraceSignal(core_index, cause);
+  };
+  // With probability p, a human files a suspicion after an exponentially distributed delay.
+  const auto maybe_report_later = [&](double p) {
+    if (rng.Bernoulli(p)) {
+      const SimTime delay = SimTime::Seconds(static_cast<int64_t>(rng.Exponential(
+          1.0 / static_cast<double>(options_.human_report_mean_delay.seconds()))));
+      delta.human_reports.push_back(
+          {now + delay, Signal{now + delay, id.machine, core_index, SignalType::kUserReport}});
+    }
+  };
   switch (symptom) {
     case Symptom::kCrash: {
-      delta.signals.push_back(Signal{now, id.machine, core_index, SignalType::kCrash});
-      delta.metrics.Increment(delta.crash_id);
-      TraceSignal(core_index, TraceCause::kCrashSignal);
+      emit_signal(SignalType::kCrash, delta.crash_id, TraceCause::kCrashSignal);
       if (rng.Bernoulli(options_.sanitizer_probability)) {
-        delta.signals.push_back(Signal{now, id.machine, core_index, SignalType::kSanitizer});
-        delta.metrics.Increment(delta.sanitizer_id);
-        TraceSignal(core_index, TraceCause::kSanitizerSignal);
+        emit_signal(SignalType::kSanitizer, delta.sanitizer_id, TraceCause::kSanitizerSignal);
       }
-      if (rng.Bernoulli(options_.crash_human_report_probability)) {
-        const SimTime delay = SimTime::Seconds(static_cast<int64_t>(
-            rng.Exponential(1.0 / static_cast<double>(options_.human_report_mean_delay.seconds()))));
-        delta.human_reports.push_back(
-            {now + delay, Signal{now + delay, id.machine, core_index, SignalType::kUserReport}});
-      }
+      maybe_report_later(options_.crash_human_report_probability);
       break;
     }
     case Symptom::kMachineCheck: {
-      delta.signals.push_back(Signal{now, id.machine, core_index, SignalType::kMachineCheck});
-      delta.metrics.Increment(delta.machine_check_id);
-      TraceSignal(core_index, TraceCause::kMachineCheckSignal);
+      emit_signal(SignalType::kMachineCheck, delta.machine_check_id,
+                  TraceCause::kMachineCheckSignal);
       // Structured MCA telemetry: the reporting bank is the defective unit, unless the
       // hardware's bank mapping scrambles it.
-      McaRecord record;
-      record.time = now;
-      record.machine = id.machine;
-      record.core_global = core_index;
+      McaRecord record{now, id.machine, core_index};
       const SimCore& core = fleet_.core(core_index);
       ExecUnit bank = ExecUnit::kIntAlu;
       uint64_t syndrome = 0;
@@ -274,16 +275,10 @@ void FleetStudy::HandleSymptom(SimTime now, uint64_t core_index, Symptom symptom
     case Symptom::kDetectedImmediately:
     case Symptom::kDetectedLate:
       if (rng.Bernoulli(options_.app_report_probability)) {
-        delta.signals.push_back(Signal{now, id.machine, core_index, SignalType::kAppReport});
-        delta.metrics.Increment(delta.app_report_id);
-        TraceSignal(core_index, TraceCause::kAppReport);
+        emit_signal(SignalType::kAppReport, delta.app_report_id, TraceCause::kAppReport);
       }
-      if (symptom == Symptom::kDetectedLate &&
-          rng.Bernoulli(options_.silent_human_notice_probability)) {
-        const SimTime delay = SimTime::Seconds(static_cast<int64_t>(
-            rng.Exponential(1.0 / static_cast<double>(options_.human_report_mean_delay.seconds()))));
-        delta.human_reports.push_back(
-            {now + delay, Signal{now + delay, id.machine, core_index, SignalType::kUserReport}});
+      if (symptom == Symptom::kDetectedLate) {
+        maybe_report_later(options_.silent_human_notice_probability);
       }
       break;
     case Symptom::kSilentCorruption: {
@@ -293,12 +288,7 @@ void FleetStudy::HandleSymptom(SimTime now, uint64_t core_index, Symptom symptom
       TraceSignal(core_index, TraceCause::kSilentCorruption);
       // "Wrong answers that are never detected" — except when a downstream consumer
       // eventually notices something impossible and a human investigates.
-      if (rng.Bernoulli(options_.silent_human_notice_probability)) {
-        const SimTime delay = SimTime::Seconds(static_cast<int64_t>(
-            rng.Exponential(1.0 / static_cast<double>(options_.human_report_mean_delay.seconds()))));
-        delta.human_reports.push_back(
-            {now + delay, Signal{now + delay, id.machine, core_index, SignalType::kUserReport}});
-      }
+      maybe_report_later(options_.silent_human_notice_probability);
       break;
     }
     case Symptom::kNone:
@@ -513,8 +503,6 @@ std::unordered_map<uint64_t, SimTime> FleetStudy::ComputeActivationTimes() {
 }
 
 void FleetStudy::EnableSparseEngine(const std::vector<ShardRange>& ranges) {
-  // The burn-in orchestrator (RunBurnIn) is a separate dense instance ticked once at t=0;
-  // only the steady-state orchestrator gets wheels, and it gets them before its first tick.
   std::vector<std::pair<uint64_t, uint64_t>> spans;
   spans.reserve(ranges.size());
   for (const ShardRange& range : ranges) {
@@ -530,28 +518,15 @@ void FleetStudy::EnableSparseEngine(const std::vector<ShardRange>& ranges) {
 
 void FleetStudy::RunBurnIn() {
   // Pre-deployment acceptance testing: one thorough screen of every core at t=0 with
-  // whatever corpus coverage exists at t=0.
-  ScreeningOptions burn_in_options = options_.screening;
-  burn_in_options.online_enabled = false;
-  // Zero period => every core is due immediately, and t=0 coverage applies.
-  burn_in_options.offline_period = SimTime::Seconds(0);
-  // Burn-in is a one-shot acceptance sweep, never budget-arbitrated: with adaptive left on,
-  // this orchestrator would consume an (empty, never-planned) admission list and screen
-  // nothing at all.
-  burn_in_options.adaptive = false;
-  const uint64_t cores = fleet_.core_count();
+  // whatever corpus coverage exists at t=0, under the recorder's initial (time 0, epoch 0)
+  // context. The sweep starts one draw per core into the burn-in stream; that offset is part
+  // of burn-in's pinned results (core_test BurnInPinTest).
   Rng stream = rng_.Split(0xb124);
-  ScreeningOrchestrator burn_in(burn_in_options, cores, stream);
-  // The constructor drew one stagger value per core from its copy of the stream; the sweep
-  // continues the stream after those draws.
-  for (uint64_t core = 0; core < cores; ++core) {
+  for (uint64_t core = 0; core < fleet_.core_count(); ++core) {
     stream.NextDouble();
   }
-  // Burn-in runs at t=0 under the recorder's initial (time 0, epoch 0) context, as one
-  // shard spanning the whole fleet.
-  burn_in.set_trace_recorder(trace_.get());
-  ShardScreenOutcome outcome = burn_in.TickShard(SimTime::Seconds(0), options_.tick, 0, cores,
-                                                 fleet_, scheduler_, stream);
+  ShardScreenOutcome outcome =
+      screening_.BurnIn(SimTime::Seconds(0), fleet_, scheduler_, stream);
   // Acceptance testing is not fleet screening spend: its failures count, its ops do not.
   outcome.stats.ops_spent = 0;
   ApplyScreenOutcome(SimTime::Seconds(0), outcome);

@@ -72,19 +72,6 @@ bool QuarantineControlPlane::IsPending(uint64_t core_global) const {
   return false;
 }
 
-SimTime QuarantineControlPlane::BackoffDelay(int attempts) {
-  // Attempt k's retry waits base * 2^(k-1), jittered multiplicatively in [1-j, 1+j] so
-  // synchronized suspects de-correlate (classic retry-storm avoidance), capped at 2^20 ticks
-  // worth of shift to keep the shift defined.
-  const int shift = std::min(attempts - 1, 20);
-  double delay = static_cast<double>(options_.retry_backoff.seconds()) *
-                 static_cast<double>(uint64_t{1} << shift);
-  if (options_.retry_jitter > 0.0) {
-    delay *= 1.0 + options_.retry_jitter * (2.0 * control_rng_.NextDouble() - 1.0);
-  }
-  return SimTime::Seconds(std::max<int64_t>(1, static_cast<int64_t>(delay)));
-}
-
 void QuarantineControlPlane::AdmitSuspects(SimTime now, const std::vector<SuspectCore>& suspects,
                                            Fleet& fleet, CoreScheduler& scheduler,
                                            CeeReportService& service,
@@ -247,7 +234,8 @@ void QuarantineControlPlane::RunInterrogations(SimTime now, Fleet& fleet,
     if (result.ran && !result.confessed && pending.attempts <= options_.max_retries) {
       // Still suspicious, didn't confess (or the run was cut short): keep it quarantined and
       // come back after an exponentially-backed-off, jittered delay.
-      pending.next_attempt = now + BackoffDelay(pending.attempts);
+      pending.next_attempt = now + JitteredBackoff(options_.retry_backoff, options_.retry_jitter,
+                                                   pending.attempts, control_rng_);
       ++stats_.retries_scheduled;
       still_pending.push_back(pending);
       continue;
@@ -415,11 +403,8 @@ void QuarantineControlPlane::EnforceGuardrail(SimTime now, Fleet& fleet,
   ++stats_.guardrail_activations;
 
   // Throttle the inflow: push back offline screens (each one drains a core) that would come
-  // due while we are over budget. This is the serial-phase hook that rebuckets the sparse
-  // engine's due-wheels: ThrottleOffline itself moves qualifying wheel entries to the
-  // deferral horizon (filtering on exact due times, so the count and the due table are
-  // bit-identical to the dense scan) — the control plane needs no wheel awareness beyond
-  // calling it between parallel phases, which Tick's position in the tick loop guarantees.
+  // due while we are over budget. Tick runs between parallel phases, where ThrottleOffline
+  // may move the sparse engine's due-wheel entries.
   if (screening != nullptr) {
     stats_.screening_deferrals += screening->ThrottleOffline(now, options_.throttle_defer);
   }

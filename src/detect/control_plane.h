@@ -270,7 +270,6 @@ class QuarantineControlPlane {
   void EnforceGuardrail(SimTime now, Fleet& fleet, CoreScheduler& scheduler,
                         CeeReportService& service, ScreeningOrchestrator* screening);
   bool IsPending(uint64_t core_global) const;
-  SimTime BackoffDelay(int attempts);
   void Trace(uint64_t core, TraceEventKind kind, TraceCause cause, uint64_t detail = 0);
 
   ControlPlaneOptions options_;

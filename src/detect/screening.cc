@@ -24,12 +24,8 @@ Status ValidateScreeningOptions(const ScreeningOptions& options) {
   if (options.online_enabled && options.online_iterations == 0) {
     return InvalidArgumentError("online_iterations must be positive");
   }
-  // coverage_schedule must be sorted by activation time: CoveredUnits/CoveredUnitCount and
-  // the coverage-gap scorer all assume it, and an out-of-order entry used to be accepted
-  // silently — it still *worked* for counting (every comparison is independent), but any
-  // schedule-order consumer (gap scoring, documentation, operator reasoning) saw a unit that
-  // "never comes online". Reject instead of sorting in place: the options struct is the
-  // user's record of what they asked for.
+  // coverage_schedule must be sorted by activation time, as the coverage-gap scorer assumes.
+  // Reject instead of sorting in place: the options are the user's record of the request.
   for (size_t i = 1; i < options.coverage_schedule.size(); ++i) {
     if (options.coverage_schedule[i].first < options.coverage_schedule[i - 1].first) {
       return InvalidArgumentError(
@@ -104,49 +100,38 @@ uint64_t ScreeningOrchestrator::CoveredUnitCount(SimTime now) const {
   return count;
 }
 
-uint64_t ScreeningOrchestrator::OfflineBatteryOps(SimTime now) const {
-  return options_.offline_iterations * CoveredUnitCount(now);
-}
-
-uint64_t ScreeningOrchestrator::OnlineBatteryOps(SimTime now) const {
-  return options_.online_iterations * CoveredUnitCount(now);
-}
-
 uint64_t ScreeningOrchestrator::ThrottleOffline(SimTime now, SimTime defer) {
   if (!options_.offline_enabled || defer.seconds() <= 0) {
     return 0;
   }
   const SimTime pushed_to = now + defer;
+  uint64_t deferred = 0;
+  // Strictly inside the window: a screen already pushed to the horizon needs no new push,
+  // so repeated throttles within one window are idempotent.
+  const auto defer_if_inside = [&](uint64_t core) {
+    const SimTime due = next_offline_due_[core];
+    if (due > now && due < pushed_to) {
+      SetDue(core, pushed_to, now);
+      ++deferred;
+      return true;
+    }
+    return false;
+  };
   if (sparse_enabled()) {
-    // Sparse path: only wheel entries with fire ticks inside the deferral window can have
-    // due times inside (now, pushed_to) — fire = ceil(due / dt) and due > now imply
-    // fire <= ceil(pushed_to / dt) — so extract those buckets and re-check the *exact* due
-    // time per entry. Quantized fire ticks alone cannot decide membership: a due inside the
-    // horizon's bucket may sit on either side of pushed_to.
-    const int64_t push_tick = FireTick(pushed_to);
-    uint64_t deferred = 0;
+    // A due inside (now, pushed_to) fires no later than FireTick(pushed_to), so extract those
+    // buckets and re-check each entry's *exact* due time: a due in the horizon's own bucket
+    // may sit on either side of pushed_to.
     for (ShardWheel& sw : wheels_) {
       for (const auto& [core, fire] :
-           sw.wheel.ExtractWindow(sw.wheel.current() + 1, push_tick)) {
-        SimTime& due = next_offline_due_[core];
-        if (due > now && due < pushed_to) {
-          due = pushed_to;
-          ++deferred;
-          sw.wheel.Schedule(core, push_tick);
-        } else {
+           sw.wheel.ExtractWindow(sw.wheel.current() + 1, FireTick(pushed_to))) {
+        if (!defer_if_inside(core)) {
           sw.wheel.Schedule(core, fire);  // outside the exact window: restore untouched
         }
       }
     }
-    return deferred;
-  }
-  uint64_t deferred = 0;
-  for (SimTime& due : next_offline_due_) {
-    // Strictly inside the window: a screen already pushed to the horizon needs no new push,
-    // so repeated throttles within one window are idempotent.
-    if (due > now && due < pushed_to) {
-      due = pushed_to;
-      ++deferred;
+  } else {
+    for (uint64_t core = 0; core < next_offline_due_.size(); ++core) {
+      defer_if_inside(core);
     }
   }
   return deferred;
@@ -165,35 +150,78 @@ int64_t ScreeningOrchestrator::TickIndex(SimTime now) const {
   return tick;
 }
 
-ScreeningOrchestrator::ShardWheel& ScreeningOrchestrator::WheelForRange(uint64_t core_begin,
-                                                                        uint64_t core_end) {
-  const auto it = std::lower_bound(
-      wheels_.begin(), wheels_.end(), core_begin,
-      [](const ShardWheel& sw, uint64_t begin) { return sw.begin < begin; });
-  MERCURIAL_CHECK(it != wheels_.end() && it->begin == core_begin && it->end == core_end)
-      << "sparse screening tick for a range that is not part of the enabled partition";
-  return *it;
+std::span<ScreeningOrchestrator::ShardWheel> ScreeningOrchestrator::WheelsFor(uint64_t begin,
+                                                                              uint64_t end) {
+  const auto first = std::lower_bound(
+      wheels_.begin(), wheels_.end(), begin,
+      [](const ShardWheel& sw, uint64_t core) { return sw.begin < core; });
+  auto last = first;
+  uint64_t covered = begin;
+  for (; last != wheels_.end() && last->begin < end; ++last) {
+    MERCURIAL_CHECK_EQ(last->begin, covered) << "sparse range splits a shard of the partition";
+    covered = last->end;
+  }
+  MERCURIAL_CHECK_EQ(covered, end)
+      << "sparse screening range is not a union of the enabled partition's shards";
+  return {first, last};
 }
 
-bool ScreeningOrchestrator::RescheduleDrained(SimTime now, int64_t tick, uint64_t core,
-                                              Fleet& fleet, ShardWheel& sw) {
-  // Fire ticks satisfy fire * dt >= due, so a drained core is due now — the dense scan's
-  // `due > now` skip can never apply to a wheel drain.
-  MERCURIAL_CHECK_LE(next_offline_due_[core].seconds(), now.seconds());
-  const auto c = static_cast<uint32_t>(core);
-  if (!fleet.Installed(core, now)) {
-    // Dense marks the core due-now each tick until its machine racks; the exact due value it
-    // converges to at the install tick is `some earlier now`, which fires and throttles
-    // identically to ours (both are <= now at every comparison). Jump straight to the
-    // install tick instead of re-draining every tick.
-    next_offline_due_[core] = now;
-    const SimTime install = fleet.machine(fleet.core_id(core).machine).install_time();
-    sw.wheel.Schedule(c, std::max(tick + 1, FireTick(install)));
-    return false;
+ScreeningOrchestrator::ShardWheel& ScreeningOrchestrator::WheelForCore(uint64_t core) {
+  const auto it = std::upper_bound(
+      wheels_.begin(), wheels_.end(), core,
+      [](uint64_t c, const ShardWheel& sw) { return c < sw.begin; });
+  MERCURIAL_CHECK(it != wheels_.begin()) << "core below the sparse partition";
+  ShardWheel& sw = *(it - 1);
+  MERCURIAL_CHECK(core >= sw.begin && core < sw.end) << "core outside the sparse partition";
+  return sw;
+}
+
+void ScreeningOrchestrator::SetDue(uint64_t core, SimTime due, SimTime now) {
+  next_offline_due_[core] = due;
+  if (sparse_enabled()) {
+    // A drained bucket is gone, so an entry due at or before now fires on the next tick.
+    WheelForCore(core).wheel.Schedule(static_cast<uint32_t>(core),
+                                      std::max(TickIndex(now) + 1, FireTick(due)));
   }
-  next_offline_due_[core] = now + options_.offline_period;
-  sw.wheel.Schedule(c, std::max(tick + 1, FireTick(next_offline_due_[core])));
-  return true;
+}
+
+template <class Visit>
+void ScreeningOrchestrator::DrainDue(uint64_t begin, uint64_t end, SimTime now,
+                                     const Fleet& fleet, Visit&& visit) {
+  // An uninstalled due core parks with its due pinned to now: dense re-parks it every tick
+  // until its machine racks, sparse jumps its wheel entry straight to the install tick. Both
+  // due values are <= now at every later comparison, so they fire and throttle identically.
+  const auto installed = [&](uint64_t core, DueWheel* wheel, int64_t tick) {
+    if (fleet.Installed(core, now)) {
+      return true;
+    }
+    next_offline_due_[core] = now;
+    if (wheel != nullptr) {
+      const SimTime install = fleet.machine(fleet.core_id(core).machine).install_time();
+      wheel->Schedule(static_cast<uint32_t>(core), std::max(tick + 1, FireTick(install)));
+    }
+    return false;
+  };
+  if (!sparse_enabled()) {
+    for (uint64_t core = begin; core < end; ++core) {
+      if (next_offline_due_[core] <= now && installed(core, nullptr, 0)) {
+        visit(core);
+      }
+    }
+    return;
+  }
+  // Each wheel's bucket drains in ascending core order and the shards partition ascending,
+  // so the visits replay the dense scan's order. Fire ticks satisfy fire * dt >= due, so a
+  // drained core is always due now.
+  const int64_t tick = TickIndex(now);
+  for (ShardWheel& sw : WheelsFor(begin, end)) {
+    for (const uint32_t core : sw.wheel.Drain(tick)) {
+      MERCURIAL_CHECK_LE(next_offline_due_[core].seconds(), now.seconds());
+      if (installed(core, &sw.wheel, tick)) {
+        visit(core);
+      }
+    }
+  }
 }
 
 void ScreeningOrchestrator::EnableSparse(
@@ -258,25 +286,6 @@ uint64_t ScreeningOrchestrator::IterationsForTier(int tier) const {
   return options_.offline_iterations << tier;  // 1x / 2x / 4x battery depth
 }
 
-ScreeningOrchestrator::ShardWheel& ScreeningOrchestrator::WheelForCore(uint64_t core) {
-  const auto it = std::upper_bound(
-      wheels_.begin(), wheels_.end(), core,
-      [](uint64_t c, const ShardWheel& sw) { return c < sw.begin; });
-  MERCURIAL_CHECK(it != wheels_.begin()) << "core below the sparse partition";
-  ShardWheel& sw = *(it - 1);
-  MERCURIAL_CHECK(core >= sw.begin && core < sw.end) << "core outside the sparse partition";
-  return sw;
-}
-
-void ScreeningOrchestrator::RescheduleAdaptive(SimTime now, uint64_t core, SimTime period) {
-  next_offline_due_[core] = now + period;
-  if (sparse_enabled()) {
-    ShardWheel& sw = WheelForCore(core);
-    sw.wheel.Schedule(static_cast<uint32_t>(core),
-                      std::max(TickIndex(now) + 1, FireTick(next_offline_due_[core])));
-  }
-}
-
 double ScreeningOrchestrator::RiskScore(SimTime now, uint64_t core, Fleet& fleet) {
   const ScreeningRiskWeights& w = options_.risk_weights;
   RiskState& rs = risk_[core];
@@ -326,58 +335,25 @@ void ScreeningOrchestrator::PlanAdaptiveTick(SimTime now, SimTime dt, Fleet& fle
     risk_.resize(next_offline_due_.size());
   }
 
-  // 1. Collect this tick's due, installed candidates in ascending core order. Sparse drains
-  // every shard wheel in shard order (shard ranges partition ascending, so the concatenation
-  // is globally ascending — the dense visit order); dense scans the due table. Uninstalled
-  // cores park exactly like the legacy paths (due pinned to now; wheel jumps to the install
-  // tick) so the two engines converge on identical due values.
-  plan_candidates_.clear();
-  if (sparse_enabled()) {
-    const int64_t tick = TickIndex(now);
-    for (ShardWheel& sw : wheels_) {
-      for (const uint32_t core : sw.wheel.Drain(tick)) {
-        MERCURIAL_CHECK_LE(next_offline_due_[core].seconds(), now.seconds());
-        if (!fleet.Installed(core, now)) {
-          next_offline_due_[core] = now;
-          const SimTime install = fleet.machine(fleet.core_id(core).machine).install_time();
-          sw.wheel.Schedule(core, std::max(tick + 1, FireTick(install)));
-          continue;
-        }
-        plan_candidates_.push_back(core);
-      }
-    }
-  } else {
-    for (uint64_t core = 0; core < next_offline_due_.size(); ++core) {
-      if (next_offline_due_[core] > now) {
-        continue;
-      }
-      if (!fleet.Installed(core, now)) {
-        next_offline_due_[core] = now;  // not racked yet; first screen once installed
-        continue;
-      }
-      plan_candidates_.push_back(core);
-    }
-  }
-
-  // 2. Score. Serial and in ascending core order, so every float accumulates in a fixed
-  // order regardless of shard/thread count. Unschedulable cores ride the cadence ceiling,
-  // mirroring the legacy skip (the confession path tests them instead).
+  // 1. Score this tick's due, installed cores, serially and in ascending core order, so every
+  // float accumulates in a fixed order regardless of shard/thread count. Unschedulable cores
+  // ride the cadence ceiling, as the fixed cadence skips them (the confession path tests
+  // them instead).
   struct Scored {
     double risk;
     uint64_t core;
   };
   std::vector<Scored> scored;
-  scored.reserve(plan_candidates_.size());
-  for (const uint64_t core : plan_candidates_) {
+  DrainDue(0, next_offline_due_.size(), now, fleet, [&](uint64_t core) {
     if (!scheduler.Schedulable(core)) {
-      RescheduleAdaptive(now, core, options_.adaptive_max_period);
-      continue;
+      SetDue(core, now + options_.adaptive_max_period, now);
+      return;
     }
     scored.push_back(Scored{RiskScore(now, core, fleet), core});
     ++risk_stats_.rescores;
-  }
+  });
 
-  // 3. Deterministic priority: risk descending, core id ascending on ties.
+  // 2. Deterministic priority: risk descending, core id ascending on ties.
   std::sort(scored.begin(), scored.end(), [](const Scored& a, const Scored& b) {
     if (a.risk != b.risk) {
       return a.risk > b.risk;
@@ -385,7 +361,7 @@ void ScreeningOrchestrator::PlanAdaptiveTick(SimTime now, SimTime dt, Fleet& fle
     return a.core < b.core;
   });
 
-  // 4. Greedy admission under this tick's ops budget. Strict stop: the first candidate that
+  // 3. Greedy admission under this tick's ops budget. Strict stop: the first candidate that
   // does not fit (and everything below it) defers to the next tick — no best-fit backfill,
   // which would make admission depend on float comparisons deep down the list.
   const bool metered = options_.budget_ops_per_day > 0;
@@ -406,7 +382,7 @@ void ScreeningOrchestrator::PlanAdaptiveTick(SimTime now, SimTime dt, Fleet& fle
         remaining -= cost;
       }
       planned_.push_back(PlannedScreen{s.core, iterations, static_cast<uint8_t>(tier)});
-      RescheduleAdaptive(now, s.core, PeriodForRisk(s.risk));
+      SetDue(s.core, now + PeriodForRisk(s.risk), now);
       risk_[s.core].last_screen = now;
       ++risk_stats_.admitted;
       ++risk_stats_.tier_screens[tier];
@@ -416,14 +392,11 @@ void ScreeningOrchestrator::PlanAdaptiveTick(SimTime now, SimTime dt, Fleet& fle
                      (risk_milli << 2) | static_cast<uint64_t>(tier));
       }
     } else {
-      // Budget exhausted: stays due (dense rescans it; sparse re-fires next tick) and is
+      // Budget exhausted: stays due (its due is <= now, so it fires again next tick) and is
       // re-scored against the fresh candidate pool.
       exhausted = true;
       ++risk_stats_.deferred;
-      if (sparse_enabled()) {
-        ShardWheel& sw = WheelForCore(s.core);
-        sw.wheel.Schedule(static_cast<uint32_t>(s.core), TickIndex(now) + 1);
-      }
+      SetDue(s.core, next_offline_due_[s.core], now);
       if (trace_ != nullptr) {
         trace_->Emit(s.core, TraceEventKind::kRiskRescore, TraceCause::kRiskDeferred,
                      (risk_milli << 2) | static_cast<uint64_t>(tier));
@@ -434,7 +407,7 @@ void ScreeningOrchestrator::PlanAdaptiveTick(SimTime now, SimTime dt, Fleet& fle
     ++risk_stats_.budget_exhausted_ticks;
   }
 
-  // 5. Execution consumes planned_ in ascending core order (each shard takes its slice), so
+  // 4. Execution consumes planned_ in ascending core order (each shard takes its slice), so
   // restore the dense visit order.
   std::sort(planned_.begin(), planned_.end(),
             [](const PlannedScreen& a, const PlannedScreen& b) { return a.core < b.core; });
@@ -475,6 +448,21 @@ bool ScreeningOrchestrator::ScreenOne(SimTime now, uint64_t core_index, bool off
   return true;
 }
 
+void ScreeningOrchestrator::ScreenOffline(SimTime now, uint64_t core, Fleet& fleet,
+                                          const CoreScheduler& scheduler, Rng& rng,
+                                          ShardScreenOutcome& outcome) {
+  if (!scheduler.Schedulable(core)) {
+    return;  // quarantined/retired cores are handled by the confession path
+  }
+  // The drain (and release back to service) is deferred: the caller charges the scheduler
+  // in shard-index order at the merge barrier. Scheduler state is frozen during the parallel
+  // phase, so a drained core is indistinguishable from an active one for the rest of this
+  // tick — the same as draining, screening and releasing it on the spot.
+  outcome.offline_drained.push_back(core);
+  ++outcome.stats.offline_screens;
+  ScreenOne(now, core, /*offline=*/true, options_.offline_iterations, fleet, rng, outcome);
+}
+
 ShardScreenOutcome ScreeningOrchestrator::TickShard(SimTime now, SimTime dt,
                                                     uint64_t core_begin, uint64_t core_end,
                                                     Fleet& fleet,
@@ -498,46 +486,11 @@ ShardScreenOutcome ScreeningOrchestrator::TickShard(SimTime now, SimTime dt,
         ++risk_[it->core].screen_failures;
       }
     }
-  } else if (options_.offline_enabled && sparse_enabled() && core_end > core_begin) {
-    // Sparse path: drain this shard's wheel bucket (ascending — the dense visit order)
-    // instead of scanning the whole range. Safe concurrently with other shards: the wheel,
-    // the due-table slice, and the drained cores all belong to this shard.
-    const int64_t tick = TickIndex(now);
-    ShardWheel& sw = WheelForRange(core_begin, core_end);
-    for (const uint32_t core : sw.wheel.Drain(tick)) {
-      if (!RescheduleDrained(now, tick, core, fleet, sw)) {
-        continue;  // not racked yet; parked until its install tick
-      }
-      if (!scheduler.Schedulable(core)) {
-        continue;  // quarantined/retired cores are handled by the confession path
-      }
-      // Drain/release deferral: same contract as the dense loop below.
-      outcome.offline_drained.push_back(core);
-      ++outcome.stats.offline_screens;
-      ScreenOne(now, core, /*offline=*/true, options_.offline_iterations, fleet, rng, outcome);
-    }
   } else if (options_.offline_enabled) {
-    for (uint64_t core = core_begin; core < core_end; ++core) {
-      if (next_offline_due_[core] > now) {
-        continue;
-      }
-      if (!fleet.Installed(core, now)) {
-        next_offline_due_[core] = now;  // not racked yet; first screen once installed
-        continue;
-      }
-      next_offline_due_[core] = now + options_.offline_period;
-      if (!scheduler.Schedulable(core)) {
-        continue;  // quarantined/retired cores are handled by the confession path
-      }
-      // The drain (and release back to service) is deferred: the caller charges the
-      // scheduler in shard-index order at the merge barrier. Scheduler state is frozen
-      // during the parallel phase, so a drained core is indistinguishable from an active
-      // one for the rest of this tick — the same as draining, screening and releasing it
-      // on the spot.
-      outcome.offline_drained.push_back(core);
-      ++outcome.stats.offline_screens;
-      ScreenOne(now, core, /*offline=*/true, options_.offline_iterations, fleet, rng, outcome);
-    }
+    DrainDue(core_begin, core_end, now, fleet, [&](uint64_t core) {
+      SetDue(core, now + options_.offline_period, now);
+      ScreenOffline(now, core, fleet, scheduler, rng, outcome);
+    });
   }
 
   if (options_.online_enabled && scheduler.active_count() > 0 && core_end > core_begin) {
@@ -551,6 +504,20 @@ ShardScreenOutcome ScreeningOrchestrator::TickShard(SimTime now, SimTime dt,
       }
       ++outcome.stats.online_screens;
       ScreenOne(now, core, /*offline=*/false, options_.online_iterations, fleet, rng, outcome);
+    }
+  }
+  return outcome;
+}
+
+ShardScreenOutcome ScreeningOrchestrator::BurnIn(SimTime now, Fleet& fleet,
+                                                 const CoreScheduler& scheduler, Rng& rng) {
+  ShardScreenOutcome outcome;
+  if (!options_.offline_enabled) {
+    return outcome;
+  }
+  for (uint64_t core = 0; core < next_offline_due_.size(); ++core) {
+    if (fleet.Installed(core, now)) {
+      ScreenOffline(now, core, fleet, scheduler, rng, outcome);
     }
   }
   return outcome;

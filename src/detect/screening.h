@@ -1,9 +1,10 @@
 // Fleet screening orchestration (§6's four axes).
 //
 // Offline screening drains a core (paying migration costs), then runs a thorough battery with
-// a full f/V/T sweep on a fixed per-core cadence. Online screening borrows spare cycles — a
-// cheap battery at the current operating point on a random sample of cores each tick, free of
-// drain costs but with partial coverage.
+// a full f/V/T sweep on a per-core cadence (fixed, or risk-scaled by the adaptive allocator).
+// Online screening borrows spare cycles — a cheap battery at the current operating point on a
+// random sample of cores each tick, free of drain costs but with partial coverage. Burn-in is
+// pre-deployment acceptance: one offline battery on every installed core before production.
 //
 // Corpus coverage grows over time: a unit whose failure modes are unknown is not tested at
 // all (its defects are "zero-days", §4), and new unit tests come online per a schedule —
@@ -15,6 +16,7 @@
 #define MERCURIAL_SRC_DETECT_SCREENING_H_
 
 #include <functional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -70,8 +72,7 @@ struct ScreeningOptions {
   // the top of every tick scores each due core and decides when it is next due (risk-scaled
   // cadence clamped to [adaptive_min_period, adaptive_max_period]) and how deep its battery
   // runs (offline_iterations scaled by risk tier), admitting the riskiest cores first under
-  // the global ops budget. Off (the default): the legacy fixed-cadence path, bit-for-bit
-  // unchanged, which stays the reference oracle.
+  // the global ops budget. Off (the default): the fixed cadence.
   bool adaptive = false;
   // Global offline-screening budget in battery micro-ops per day (0 = unmetered). Admission
   // is greedy in priority order (risk desc, core id asc) and stops at the first core that
@@ -111,13 +112,11 @@ struct ScreeningRiskStats {
 // (a negative online fraction samples nothing; a zero iteration count "passes" every core):
 // rejects online_fraction_per_day outside [0, 1] (NaN included), a non-positive
 // offline_period while offline screening is enabled, and zero iteration counts for an enabled
-// mode. Internal callers may still construct orchestrators with offline_period == 0 ("every
-// core due immediately", e.g. the burn-in pass); the validator guards user-facing configs.
-// The coverage_schedule must be sorted by activation time with no duplicate units (within the
-// schedule or against initial_coverage): an out-of-order entry would silently never come
-// online for cost accounting, and a duplicate would double-charge every battery. Adaptive
-// mode additionally requires offline screening, a positive cadence floor no larger than the
-// ceiling, and risk_warm <= risk_hot (NaN rejected).
+// mode. The coverage_schedule must be sorted by activation time with no duplicate units
+// (within the schedule or against initial_coverage): an out-of-order entry would silently
+// never come online for cost accounting, and a duplicate would double-charge every battery.
+// Adaptive mode additionally requires offline screening, a positive cadence floor no larger
+// than the ceiling, and risk_warm <= risk_hot (NaN rejected).
 Status ValidateScreeningOptions(const ScreeningOptions& options);
 
 struct ScreeningTickStats {
@@ -142,9 +141,13 @@ struct ShardScreenOutcome {
   ScreeningTickStats stats;
   std::vector<Signal> failures;          // kScreenFail signals, in emission order
   std::vector<uint64_t> offline_drained; // cores offline-screened; owe Drain+Release costs
-  std::vector<uint8_t> drained_tiers;    // risk tier per offline_drained entry; empty legacy
+  std::vector<uint8_t> drained_tiers;    // risk tier per offline_drained entry; adaptive only
 };
 
+// Runs §6's screening modes over one per-core offline due table: the fixed cadence and the
+// risk-adaptive plan, sampled online batteries, and burn-in. Every offline visit goes through
+// one private seam (DrainDue, SetDue); only it and ThrottleOffline know whether the table is
+// scanned densely or indexed by the sparse engine's due-wheels.
 class ScreeningOrchestrator {
  public:
   // `rng` draws the initial stagger of first offline screens (one draw per core). The
@@ -175,9 +178,11 @@ class ScreeningOrchestrator {
   ShardScreenOutcome TickShard(SimTime now, SimTime dt, uint64_t core_begin, uint64_t core_end,
                                Fleet& fleet, const CoreScheduler& scheduler, Rng& rng);
 
-  // Estimated micro-ops one offline (resp. online) battery costs, for capacity accounting.
-  uint64_t OfflineBatteryOps(SimTime now) const;
-  uint64_t OnlineBatteryOps(SimTime now) const;
+  // Pre-deployment burn-in: one offline battery (at the offline depth and sweep) on every
+  // installed, schedulable core at `now`, drawing from `rng` in ascending core order. Leaves
+  // due times, wheels and allocator state untouched; screens nothing when offline screening is
+  // off. The caller applies the outcome like a TickShard outcome.
+  ShardScreenOutcome BurnIn(SimTime now, Fleet& fleet, const CoreScheduler& scheduler, Rng& rng);
 
   // Graceful-degradation hook for the quarantine control plane's capacity guardrail: pushes
   // every offline screen that would come due within (now, now + defer] out to now + defer,
@@ -199,9 +204,11 @@ class ScreeningOrchestrator {
   // Bit-identity with the dense scan: the wheel is only an index — next_offline_due_ remains
   // the exact source of truth, buckets drain in ascending core order (the dense visit
   // order), and cores skipped by the dense scan (due in the future) consume no randomness,
-  // so eliding their visits cannot shift any stream. DeferOffline throttles, install-time
-  // first screens, and the post-screen cadence all become wheel reschedules. See DESIGN.md,
-  // "Decision: sparsity is free when streams are counter-keyed".
+  // so eliding their visits cannot shift any stream. The engines differ only inside
+  // DrainDue, SetDue and ThrottleOffline: every due-time move (cadence, risk-scaled period,
+  // budget deferral, install-time parking, throttle) is a wheel reschedule there. Without
+  // this call the orchestrator runs dense, the reference oracle of determinism suite D10.
+  // See DESIGN.md, "Decision: sparsity is free when streams are counter-keyed".
   void EnableSparse(SimTime dt, const std::vector<std::pair<uint64_t, uint64_t>>& shard_ranges);
   bool sparse_enabled() const { return !wheels_.empty(); }
 
@@ -217,11 +224,11 @@ class ScreeningOrchestrator {
   void set_risk_probe(ScreeningRiskProbe probe) { risk_probe_ = std::move(probe); }
 
   // Serial plan phase, called once per tick before the (possibly parallel) screening pass
-  // when adaptive() is on. Collects the cores due in (now - dt, now] (wheel drains when
-  // sparse, a due-table scan when dense), scores each, sorts by priority (risk desc, core id
-  // asc), and greedily admits under this tick's ops budget. Admitted cores are rescheduled on
-  // their risk-scaled cadence and queued — in ascending core order, so shard execution stays
-  // the dense visit order — for TickShard to screen; deferred cores stay due next tick.
+  // when adaptive() is on. Scores the installed cores due at `now` fleet-wide, sorts them by
+  // priority (risk desc, core id asc), and greedily admits under this tick's ops budget.
+  // Admitted cores are rescheduled on their risk-scaled cadence and queued — in ascending
+  // core order, so shard execution stays the dense visit order — for TickShard to screen;
+  // deferred cores stay due next tick.
   // Scheduler states are frozen between this call and the screening pass, so the
   // schedulability decisions made here remain valid at execution time.
   void PlanAdaptiveTick(SimTime now, SimTime dt, Fleet& fleet, const CoreScheduler& scheduler);
@@ -261,24 +268,33 @@ class ScreeningOrchestrator {
   bool ScreenOne(SimTime now, uint64_t core_index, bool offline, uint64_t iterations,
                  Fleet& fleet, Rng& rng, ShardScreenOutcome& outcome);
 
+  // Screens one due, installed core offline if it is schedulable, owing it a drain.
+  void ScreenOffline(SimTime now, uint64_t core, Fleet& fleet, const CoreScheduler& scheduler,
+                     Rng& rng, ShardScreenOutcome& outcome);
+
   // Weighted risk sum for one core; serial-phase only (mutates probation_seen).
   double RiskScore(SimTime now, uint64_t core, Fleet& fleet);
-  // Points the due table (and wheel, when sparse) at now + period.
-  void RescheduleAdaptive(SimTime now, uint64_t core, SimTime period);
+
+  // The offline-visit seam. DrainDue calls visit(core) on each installed core in
+  // [begin, end) due at `now`, ascending, after parking each uninstalled due core (due set to
+  // now; when sparse, a wheel entry at its install tick). Sparse drains the wheels of the
+  // shards tiling the range, dense scans the due table. The visit owes each core a SetDue.
+  // Both are safe concurrently for disjoint shard ranges: a core's wheel is its own shard's.
+  template <class Visit>
+  void DrainDue(uint64_t begin, uint64_t end, SimTime now, const Fleet& fleet, Visit&& visit);
+  // Sets `core`'s due time; when sparse, also schedules its wheel entry at
+  // max(tick(now) + 1, FireTick(due)).
+  void SetDue(uint64_t core, SimTime due, SimTime now);
+
   // The wheel whose [begin, end) contains `core`; sparse only.
   ShardWheel& WheelForCore(uint64_t core);
+  // The wheels whose shards tile [begin, end); dies if no run of the partition does.
+  std::span<ShardWheel> WheelsFor(uint64_t begin, uint64_t end);
 
   // Earliest tick T with T * dt >= due — the first tick whose dense scan would fire `due`.
   int64_t FireTick(SimTime due) const;
   // Wheel position for `now` (now must sit exactly on the tick grid).
   int64_t TickIndex(SimTime now) const;
-  // The wheel owning [core_begin, core_end); dies if sparse is on but the range is unknown.
-  ShardWheel& WheelForRange(uint64_t core_begin, uint64_t core_end);
-  // Reschedules `core` after a drain visit at tick `tick` (time `now`): uninstalled cores
-  // park until their machine's install tick, screened cores ride the cadence. Returns true
-  // if the core should actually be screened this tick (mirrors the dense loop's decision).
-  bool RescheduleDrained(SimTime now, int64_t tick, uint64_t core, Fleet& fleet,
-                         ShardWheel& sw);
 
   ScreeningOptions options_;
   std::vector<SimTime> next_offline_due_;  // staggered per core
@@ -292,7 +308,6 @@ class ScreeningOrchestrator {
   std::vector<PlannedScreen> planned_;
   std::vector<RiskState> risk_;
   ScreeningRiskStats risk_stats_;
-  std::vector<uint64_t> plan_candidates_;  // plan-phase scratch (due, installed, schedulable)
 };
 
 }  // namespace mercurial

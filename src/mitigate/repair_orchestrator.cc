@@ -150,16 +150,6 @@ void RepairOrchestrator::ShedToBacklogBound() {
   }
 }
 
-SimTime RepairOrchestrator::BackoffDelay(int attempts) {
-  const int shift = std::min(attempts - 1, 20);
-  double delay = static_cast<double>(options_.retry_backoff.seconds()) *
-                 static_cast<double>(uint64_t{1} << shift);
-  if (options_.retry_jitter > 0.0) {
-    delay *= 1.0 + options_.retry_jitter * (2.0 * rng_.NextDouble() - 1.0);
-  }
-  return SimTime::Seconds(std::max<int64_t>(1, static_cast<int64_t>(delay)));
-}
-
 bool RepairOrchestrator::DrawExecutorTainted() {
   bool tainted = false;
   if (core_count_ > 0 && defective_) {
@@ -174,7 +164,8 @@ bool RepairOrchestrator::DrawExecutorTainted() {
 
 void RepairOrchestrator::ScheduleRetry(SimTime now, Task& task) {
   ++task.attempts;
-  task.next_attempt = now + BackoffDelay(task.attempts);
+  task.next_attempt =
+      now + JitteredBackoff(options_.retry_backoff, options_.retry_jitter, task.attempts, rng_);
   ++stats_.retries_scheduled;
   Trace(task.core_global, TraceEventKind::kRepairRetry, TraceCause::kRetry,
         static_cast<uint64_t>(task.attempts));

@@ -2,6 +2,7 @@
 
 #include "src/common/logging.h"
 #include "src/sched/scheduler.h"
+#include "src/workload/workload.h"
 
 namespace mercurial {
 
@@ -36,23 +37,12 @@ PlacementPlan PlacementPlanner::Plan(
 }
 
 std::vector<WorkloadProfile> PlacementPlanner::StandardProfiles() {
-  // Mirrors the unit usage declared by the standard corpus in src/workload/workloads.cc.
-  std::vector<WorkloadProfile> profiles = {
-      {"compression", {ExecUnit::kCopy, ExecUnit::kCrc}, 0.0},
-      {"hash", {ExecUnit::kIntAlu, ExecUnit::kIntMul, ExecUnit::kLoad}, 0.0},
-      {"crypto", {ExecUnit::kAes}, 0.0},
-      {"memcpy", {ExecUnit::kCopy}, 0.0},
-      {"locking", {ExecUnit::kAtomic, ExecUnit::kIntAlu, ExecUnit::kLoad}, 0.0},
-      {"sorting", {ExecUnit::kLoad, ExecUnit::kStore}, 0.0},
-      {"matmul", {ExecUnit::kFp}, 0.0},
-      {"garbage_collect", {ExecUnit::kLoad}, 0.0},
-      {"db_index", {ExecUnit::kLoad, ExecUnit::kIntAlu}, 0.0},
-      {"kernel", {ExecUnit::kIntAlu, ExecUnit::kLoad, ExecUnit::kStore, ExecUnit::kAtomic}, 0.0},
-      {"vector_scan", {ExecUnit::kVector}, 0.0},
-      {"arithmetic", {ExecUnit::kIntDiv, ExecUnit::kIntMul, ExecUnit::kIntAlu}, 0.0},
-  };
-  for (auto& profile : profiles) {
-    profile.mix_fraction = 1.0 / static_cast<double>(profiles.size());
+  // One profile per standard workload, with the units that workload declares it exercises.
+  std::vector<WorkloadProfile> profiles;
+  for (int k = 0; k < kWorkloadKindCount; ++k) {
+    const auto kind = static_cast<WorkloadKind>(k);
+    profiles.push_back({WorkloadKindName(kind), MakeWorkload(kind, {})->UnitsExercised(),
+                        1.0 / kWorkloadKindCount});
   }
   return profiles;
 }

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+
 #include "src/core/fleet_study.h"
+#include "src/substrate/checksum.h"
+#include "src/telemetry/trace.h"
 
 namespace mercurial {
 namespace {
@@ -122,6 +127,49 @@ TEST(FleetStudyTest, BurnInCatchesActiveDefectsEarly) {
   // Burn-in screens every core at t=0, so cumulative screen failures can only be >=.
   EXPECT_GE(report_with.screen_failures + study_with.metrics().counter("signals.screen_fail"),
             report_without.screen_failures);
+}
+
+// Burn-in pin: a small traced study with burn-in on, once under the fixed cadence and once
+// under the risk-adaptive allocator with a budget tight enough to defer. Burn-in screens every
+// installed, schedulable core at t=0 with the offline battery; machines racked later are
+// skipped. The pinned counts and trace hash fix its draws, its skips and its failure signals.
+StudyOptions BurnInPinOptions(bool adaptive) {
+  StudyOptions options = SmallStudy(9);
+  options.burn_in = true;
+  options.duration = SimTime::Days(60);
+  options.fleet.machine_count = 60;
+  options.fleet.mercurial_rate_multiplier = 400.0;
+  options.fleet.future_install_spread = SimTime::Days(20);
+  options.shards = 4;
+  options.trace.enabled = true;
+  options.screening.adaptive = adaptive;
+  options.screening.budget_ops_per_day = 60'000;
+  return options;
+}
+
+// "<events>:<fnv1a64 hex of the serialized trace>".
+std::string TracePin(const StudyReport& report) {
+  char text[48];
+  std::snprintf(text, sizeof(text), "%zu:%016llx", report.trace.events.size(),
+                static_cast<unsigned long long>(Fnv1a64(SerializeTrace(report.trace))));
+  return text;
+}
+
+TEST(BurnInPinTest, FixedCadence) {
+  FleetStudy study(BurnInPinOptions(/*adaptive=*/false));
+  const StudyReport report = study.Run();
+  EXPECT_EQ(report.screen_failures, 3u);
+  EXPECT_EQ(report.screening_ops, 49117668u);
+  EXPECT_EQ(TracePin(report), "1109:acc953717b394df8");
+}
+
+TEST(BurnInPinTest, RiskAdaptive) {
+  FleetStudy study(BurnInPinOptions(/*adaptive=*/true));
+  const StudyReport report = study.Run();
+  EXPECT_GT(study.metrics().counter("screening.risk_deferred"), 0u) << "budget never bound";
+  EXPECT_EQ(report.screen_failures, 7u);
+  EXPECT_EQ(report.screening_ops, 8020794u);
+  EXPECT_EQ(TracePin(report), "105752:ca9c1a662487e5f7");
 }
 
 TEST(FleetStudyTest, CatalogOverrideShapesDefectPopulation) {

@@ -569,27 +569,34 @@ StudyOptions SparseHarness(uint64_t seed, bool chaos, bool audit, bool sparse, i
 }
 
 // D10a: sparse == dense, full matrix. The dense run (sparse_engine = false) is the reference
-// oracle; the sparse engine must reproduce it bit-for-bit at every thread count.
-TEST(DeterminismTest, SparseEngineMatchesDenseOracle) {
+// oracle; the sparse engine must reproduce it bit-for-bit at every thread count. Split by
+// chaos setting into two cases so they can run side by side.
+void ExpectSparseMatchesDenseOracle(bool chaos) {
   for (const uint64_t seed : {uint64_t{7}, uint64_t{20210531}, uint64_t{424242}}) {
-    for (const bool chaos : {false, true}) {
-      for (const bool audit : {false, true}) {
-        SCOPED_TRACE("seed=" + std::to_string(seed) + " chaos=" + (chaos ? "high" : "off") +
-                     " audit=" + (audit ? "on" : "off"));
-        const StudyReport dense = RunStudy(
-            SparseHarness(seed, chaos, audit, /*sparse=*/false, /*shards=*/8, /*threads=*/1));
-        const std::vector<uint8_t> golden = SerializeTrace(dense.trace);
-        ASSERT_GT(dense.trace.events.size(), 0u) << "harness recorded no events";
-        for (const int threads : {1, 2, 8}) {
-          SCOPED_TRACE("threads=" + std::to_string(threads));
-          const StudyReport sparse = RunStudy(
-              SparseHarness(seed, chaos, audit, /*sparse=*/true, /*shards=*/8, threads));
-          ExpectReportsEqual(dense, sparse);
-          EXPECT_EQ(golden, SerializeTrace(sparse.trace));
-        }
+    for (const bool audit : {false, true}) {
+      SCOPED_TRACE("seed=" + std::to_string(seed) + " chaos=" + (chaos ? "high" : "off") +
+                   " audit=" + (audit ? "on" : "off"));
+      const StudyReport dense = RunStudy(
+          SparseHarness(seed, chaos, audit, /*sparse=*/false, /*shards=*/8, /*threads=*/1));
+      const std::vector<uint8_t> golden = SerializeTrace(dense.trace);
+      ASSERT_GT(dense.trace.events.size(), 0u) << "harness recorded no events";
+      for (const int threads : {1, 2, 8}) {
+        SCOPED_TRACE("threads=" + std::to_string(threads));
+        const StudyReport sparse = RunStudy(
+            SparseHarness(seed, chaos, audit, /*sparse=*/true, /*shards=*/8, threads));
+        ExpectReportsEqual(dense, sparse);
+        EXPECT_EQ(golden, SerializeTrace(sparse.trace));
       }
     }
   }
+}
+
+TEST(DeterminismTest, SparseEngineMatchesDenseOracle) {
+  ExpectSparseMatchesDenseOracle(/*chaos=*/false);
+}
+
+TEST(DeterminismTest, SparseEngineMatchesDenseOracleUnderChaos) {
+  ExpectSparseMatchesDenseOracle(/*chaos=*/true);
 }
 
 // D10b: the one-shard partition (shards = 1) sparsifies identically — a single wheel and
@@ -640,40 +647,47 @@ StudyOptions CrashHarness(bool chaos, bool sparse, int threads, int crash_every)
 // D11a: a controller that dies after every k-th tick and recovers from the journal finishes
 // the study with EXACTLY the report — and the trace bytes — of a controller that never died,
 // for every k x thread-count x engine x chaos combination. LoadDurableState must therefore
-// round-trip every bit of controller state: one forgotten field diverges this matrix.
-TEST(DeterminismTest, CrashedControllerRecoversBitIdentically) {
-  for (const bool chaos : {false, true}) {
-    for (const bool sparse : {false, true}) {
-      SCOPED_TRACE(std::string("chaos=") + (chaos ? "high" : "off") +
-                   " engine=" + (sparse ? "sparse" : "dense"));
-      const StudyReport uncrashed = RunStudy(SparseHarness(
-          /*seed=*/20210531, chaos, /*audit=*/true, sparse, /*shards=*/8, /*threads=*/1));
-      const std::vector<uint8_t> golden = SerializeTrace(uncrashed.trace);
-      ASSERT_GT(uncrashed.trace.events.size(), 0u) << "harness recorded no events";
-      for (const int crash_every : {1, 7, 64}) {
-        for (const int threads : {1, 2, 8}) {
-          SCOPED_TRACE("crash_every=" + std::to_string(crash_every) +
-                       " threads=" + std::to_string(threads));
-          StudyReport crashed = RunStudy(CrashHarness(chaos, sparse, threads, crash_every));
-          ASSERT_GT(crashed.durability.controller_crashes, 0u);
-          EXPECT_EQ(crashed.durability.recoveries, crashed.durability.controller_crashes);
-          EXPECT_EQ(crashed.durability.recoveries, crashed.durability.exact_recoveries)
-              << "a clean crash must recover exactly";
-          EXPECT_EQ(crashed.durability.frames_truncated, 0u);
-          EXPECT_EQ(crashed.durability.reconcile_released_unknown +
-                        crashed.durability.reconcile_reinstated_unknown +
-                        crashed.durability.reconcile_dropped_pending +
-                        crashed.durability.reconcile_dropped_probation,
-                    0u)
-              << "exact recovery must never need fleet reconciliation";
-          EXPECT_EQ(golden, SerializeTrace(crashed.trace));
-          // Strip the crash accounting; every simulation field must match the uncrashed run.
-          crashed.durability = DurabilityStats{};
-          ExpectReportsEqual(uncrashed, crashed);
-        }
+// round-trip every bit of controller state: one forgotten field diverges this matrix. Split
+// by chaos setting into two cases so they can run side by side.
+void ExpectCrashedControllerRecoversBitIdentically(bool chaos) {
+  for (const bool sparse : {false, true}) {
+    SCOPED_TRACE(std::string("chaos=") + (chaos ? "high" : "off") +
+                 " engine=" + (sparse ? "sparse" : "dense"));
+    const StudyReport uncrashed = RunStudy(SparseHarness(
+        /*seed=*/20210531, chaos, /*audit=*/true, sparse, /*shards=*/8, /*threads=*/1));
+    const std::vector<uint8_t> golden = SerializeTrace(uncrashed.trace);
+    ASSERT_GT(uncrashed.trace.events.size(), 0u) << "harness recorded no events";
+    for (const int crash_every : {1, 7, 64}) {
+      for (const int threads : {1, 2, 8}) {
+        SCOPED_TRACE("crash_every=" + std::to_string(crash_every) +
+                     " threads=" + std::to_string(threads));
+        StudyReport crashed = RunStudy(CrashHarness(chaos, sparse, threads, crash_every));
+        ASSERT_GT(crashed.durability.controller_crashes, 0u);
+        EXPECT_EQ(crashed.durability.recoveries, crashed.durability.controller_crashes);
+        EXPECT_EQ(crashed.durability.recoveries, crashed.durability.exact_recoveries)
+            << "a clean crash must recover exactly";
+        EXPECT_EQ(crashed.durability.frames_truncated, 0u);
+        EXPECT_EQ(crashed.durability.reconcile_released_unknown +
+                      crashed.durability.reconcile_reinstated_unknown +
+                      crashed.durability.reconcile_dropped_pending +
+                      crashed.durability.reconcile_dropped_probation,
+                  0u)
+            << "exact recovery must never need fleet reconciliation";
+        EXPECT_EQ(golden, SerializeTrace(crashed.trace));
+        // Strip the crash accounting; every simulation field must match the uncrashed run.
+        crashed.durability = DurabilityStats{};
+        ExpectReportsEqual(uncrashed, crashed);
       }
     }
   }
+}
+
+TEST(DeterminismTest, CrashedControllerRecoversBitIdentically) {
+  ExpectCrashedControllerRecoversBitIdentically(/*chaos=*/false);
+}
+
+TEST(DeterminismTest, CrashedControllerRecoversBitIdenticallyUnderChaos) {
+  ExpectCrashedControllerRecoversBitIdentically(/*chaos=*/true);
 }
 
 // D11b: durability is an observer. Journaling consumes no randomness and the crash stream is
